@@ -10,8 +10,9 @@ gate fails the build when:
     (examples are the documented programming model — they must go
     through the facade), or
   * a file under src/rts/ outside the protocol/facade allowlist
-    constructs or names those structs (new runtime code must route
-    invocations through AsyncClient/MageClient, not hand-roll them).
+    constructs or names those structs (runtime code must route
+    invocations through AsyncClient, not hand-roll them — MageClient
+    included: it is a blocking adapter over AsyncClient's chase).
     The allowlist is matched by path relative to src/rts/, so the
     distributed-collections layer (src/rts/dist/) can never opt out —
     partitions and rebalancers are applications of the facade, not
@@ -26,17 +27,16 @@ import sys
 TOKENS = re.compile(r"\b(InvokeRequest|LookupRequest)\b")
 
 # The protocol definition itself, the server that serves the verbs, and
-# the two client facades that implement the chase.  Everything else in
-# src/rts/ — including all of src/rts/dist/ — is "application-side"
-# runtime code and must use the facades.  Entries are paths relative to
-# src/rts/ (not basenames) so a nested file can never shadow its way in.
+# AsyncClient, which implements the one chase.  Everything else in
+# src/rts/ — MageClient and all of src/rts/dist/ included — is
+# "application-side" runtime code and must use the facade.  Entries are
+# paths relative to src/rts/ (not basenames) so a nested file can never
+# shadow its way in.
 RTS_ALLOWLIST = {
     "protocol.hpp",
     "protocol.cpp",
     "server.hpp",
     "server.cpp",
-    "client.hpp",
-    "client.cpp",
     "async_client.hpp",
     "async_client.cpp",
 }
@@ -82,7 +82,8 @@ def main() -> int:
             print("  " + failure)
         print(
             "\nRoute invocations through rts::AsyncClient (docs/API.md); "
-            "only the protocol/server/client files may touch these structs."
+            "only the protocol/server/async_client files may touch these "
+            "structs."
         )
         return 1
     print("facade lint OK: no raw protocol structs outside the allowlist")

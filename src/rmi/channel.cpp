@@ -40,23 +40,16 @@ DirectChannel::DirectChannel(Transport& transport, CallPolicy policy)
 Channel::Token DirectChannel::call(common::NodeId dest, common::VerbId verb,
                                    serial::BufferChain body,
                                    Transport::Callback done) {
-  const Token token = next_token_++;
-  const common::RequestId id = transport_.call(
-      dest, verb, std::move(body),
-      [this, token, done = std::move(done)](CallResult result) mutable {
-        live_.erase(token);
-        done(std::move(result));
-      },
-      policy_.attempt_options());
-  live_.emplace(token, id);
-  return token;
+  // The request id is the token: Transport::cancel ignores finished ids,
+  // so the channel keeps no bookkeeping of its own (and no allocation).
+  return transport_
+      .call(dest, verb, std::move(body), std::move(done),
+            policy_.attempt_options())
+      .value();
 }
 
 void DirectChannel::cancel(Token token) {
-  auto it = live_.find(token);
-  if (it == live_.end()) return;
-  transport_.cancel(it->second);  // callback never fires after this
-  live_.erase(it);
+  transport_.cancel(common::RequestId{token});  // never fires after this
 }
 
 // --- RetriableChannel ------------------------------------------------------

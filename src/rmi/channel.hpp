@@ -111,7 +111,8 @@ class Channel {
 };
 
 // Leaf: one channel call == one transport call with the policy's
-// per-attempt options.  Cancellation forwards to Transport::cancel.
+// per-attempt options; the token is the request id, and cancellation
+// forwards to Transport::cancel.
 class DirectChannel final : public Channel {
  public:
   DirectChannel(Transport& transport, CallPolicy policy);
@@ -124,8 +125,6 @@ class DirectChannel final : public Channel {
  private:
   Transport& transport_;
   CallPolicy policy_;
-  Token next_token_ = 1;
-  std::map<Token, common::RequestId> live_;
 };
 
 // Decorator: re-issues failed inner calls up to max_retries times with

@@ -339,20 +339,24 @@ serial::BufferChain Transport::call_sync(common::NodeId dest,
                                  common::verb_name(verb) + "' reply");
   }
   if (!result->ok) {
-    // Distinguish error families by marker prefix: the wire carries only a
-    // string, so the remote side tags policy rejections.
-    if (result->error.rfind("rmi call", 0) == 0) {
-      throw common::TransportError(result->error);
-    }
-    if (result->error.rfind("access denied", 0) == 0) {
-      throw common::AccessDeniedError(result->error);
-    }
-    if (result->error.rfind("capacity exceeded", 0) == 0) {
-      throw common::CapacityError(result->error);
-    }
+    throw_if_marked(result->error);
     throw common::RemoteInvocationError(result->error);
   }
   return std::move(result->body);
+}
+
+bool is_transport_failure(const std::string& error) {
+  return error.rfind("rmi call", 0) == 0;
+}
+
+void throw_if_marked(const std::string& error) {
+  if (is_transport_failure(error)) throw common::TransportError(error);
+  if (error.rfind("access denied", 0) == 0) {
+    throw common::AccessDeniedError(error);
+  }
+  if (error.rfind("capacity exceeded", 0) == 0) {
+    throw common::CapacityError(error);
+  }
 }
 
 void Transport::on_message(net::Message msg) {

@@ -116,6 +116,18 @@ struct CallOptions {
   int max_attempts = 24;
 };
 
+// A failed call carries only an error string; its marker prefix names the
+// failure's family: "rmi call" for the transport's own failures (no reply
+// within the retransmission budget, a channel deadline), "access denied"
+// and "capacity exceeded" for rejections by the callee's policy.
+[[nodiscard]] bool is_transport_failure(const std::string& error);
+
+// Throws the MageError subclass a marked error names (TransportError,
+// AccessDeniedError, CapacityError); returns for an unmarked error, which
+// the caller raises as its own failure type.  The one error mapping of
+// every blocking call: Transport::call_sync and MageClient's chasing verbs.
+void throw_if_marked(const std::string& error);
+
 // Per-link invoke coalescing (docs/ARCHITECTURE.md "Flush quanta").  When
 // enabled, every outgoing envelope (requests, replies, one-ways) bound for
 // a remote node is queued per destination and flushed as ONE batch frame
@@ -228,8 +240,8 @@ class Transport {
   }
 
   // Synchronous call usable only from driver code (runs the event loop
-  // until the reply arrives).  Throws RemoteInvocationError on remote
-  // error, TransportError when retries are exhausted.
+  // until the reply arrives).  Throws a marked error's type (see
+  // throw_if_marked), else RemoteInvocationError.
   serial::BufferChain call_sync(common::NodeId dest, common::VerbId verb,
                                 serial::BufferChain body,
                                 CallOptions options = {});

@@ -8,28 +8,53 @@ namespace mage::rts {
 
 namespace proto_verbs = proto::verbs;
 
-// Chase/retry pacing for operations addressed to a moving object — the
-// same budget MageClient uses, so the two facades converge identically.
-constexpr int kMaxChaseAttempts = 12;
-constexpr common::SimDuration kChaseBackoffUs = 10'000;
+// Lock waits can be long (the queue drains one holder at a time), so a
+// lock request gets a generous transmission budget; duplicates are
+// suppressed server-side.
+constexpr int kLockTransmissions = 64;
 
-// One in-flight invoke/move: the chase state machine, shared by the
-// channel callbacks and the relocation events that advance it.
+// One in-flight chase: the state machine shared by the channel callbacks
+// and the relocation events that advance it.  Chase<R> adds the typed
+// completion state the returned future shares, so an operation costs one
+// allocation, future included.
 struct AsyncClient::ChaseOp {
-  enum class Kind { Invoke, InvokeOneway, Move };
+  ChaseOp(ChaseKind k, common::ComponentName n, serial::BufferChain r)
+      : kind(k), name(std::move(n)), request(std::move(r)) {}
+  virtual ~ChaseOp() = default;
 
-  Kind kind = Kind::Invoke;
+  template <typename R>
+  void succeed(R value) {
+    static_cast<Chase<R>&>(*this).state.set_value(std::move(value));
+  }
+  virtual void fail(std::string error) = 0;
+
+  ChaseKind kind;
   common::ComponentName name;
-  std::string method;       // Invoke/InvokeOneway
-  serial::Buffer args;      // Invoke/InvokeOneway
-  common::NodeId to;        // Move
-  common::NodeId at = common::kNoNode;
+  serial::BufferChain request;  // encoded once, re-sent at every hop
+  common::NodeId to;            // Move: the destination
+  common::NodeId at = common::kNoNode;  // the host being tried
   int attempts = 0;
-
-  MagePromise<serial::Buffer> result;  // Invoke
-  MagePromise<Unit> ack;               // InvokeOneway
-  MagePromise<common::NodeId> moved;   // Move
 };
+
+template <typename R>
+struct AsyncClient::Chase final : ChaseOp {
+  using ChaseOp::ChaseOp;
+  void fail(std::string error) override { state.set_error(std::move(error)); }
+  detail::FutureState<R> state;
+};
+
+namespace {
+
+serial::Buffer lock_request(const common::ComponentName& name,
+                            common::NodeId target, std::uint64_t activity) {
+  proto::LockRequest request;
+  request.name = name;
+  request.target = target;
+  request.activity = activity;
+  return request.encode();
+}
+
+}  // namespace
 
 AsyncClient::AsyncClient(MageServer& server)
     : AsyncClient(server, rmi::CallPolicy{}) {}
@@ -38,11 +63,7 @@ AsyncClient::AsyncClient(MageServer& server, rmi::CallPolicy policy)
     : server_(server),
       transport_(server.transport()),
       sim_(transport_.network().node_sim(transport_.self())),
-      policy_(policy),
-      async_invokes_(sim_.stats().counter_handle("rts.async_invokes")),
-      async_redirects_(sim_.stats().counter_handle("rts.async_redirects")),
-      async_relocates_(sim_.stats().counter_handle("rts.async_relocates")),
-      async_moves_(sim_.stats().counter_handle("rts.async_moves")) {
+      policy_(policy) {
   rebuild_stack();
 }
 
@@ -72,6 +93,10 @@ void AsyncClient::set_policy(rmi::CallPolicy policy) {
   rebuild_stack();
 }
 
+rmi::CallOptions AsyncClient::lock_options() const {
+  return rmi::CallOptions{policy_.attempt_timeout_us, kLockTransmissions};
+}
+
 // --- epoch fences -----------------------------------------------------------
 
 void AsyncClient::note_epoch(const common::ComponentName& name,
@@ -89,15 +114,22 @@ std::uint64_t AsyncClient::known_epoch(
 bool AsyncClient::accept_hint(const common::ComponentName& name,
                               common::NodeId hint, std::uint64_t hint_epoch) {
   if (common::is_no_node(hint)) return false;
-  // Same fence as MageClient::accept_hint: unfenced hints (epoch 0) are
-  // chased; fenced hints older than confirmed knowledge are rejected — a
-  // stale chain can never send this client back to a dead ex-home.
+  // Unfenced hints (epoch 0) come from servers without epoch knowledge;
+  // they are chased.  Fenced hints must be at least as recent as what this
+  // client has already confirmed — an older hint points into a placement
+  // history segment we know is obsolete (e.g. a forwarding loop left
+  // behind by a crashed-and-restarted ex-home).
   if (hint_epoch != 0 && hint_epoch < known_epoch(name)) {
     sim_.stats().add("rts.stale_hints_rejected");
     return false;
   }
   note_epoch(name, hint_epoch);
   return true;
+}
+
+bool AsyncClient::is_shared(const common::ComponentName& name) const {
+  return server_.directory().contains(name) &&
+         server_.directory().info(name).is_public;
 }
 
 common::NodeId AsyncClient::believed_host(
@@ -112,408 +144,367 @@ common::NodeId AsyncClient::believed_host(
   return common::kNoNode;
 }
 
-// --- locate -----------------------------------------------------------------
+// --- the chase --------------------------------------------------------------
 
-MageFuture<common::NodeId> AsyncClient::directory_fallback(
-    const common::ComponentName& name) {
-  MagePromise<common::NodeId> promise;
-  if (directory_client_ == nullptr) {
-    promise.set_error("'" + name + "' is not known here (no forwarding "
-                      "address, no static-directory entry, no replicated "
-                      "directory configured)");
-    return promise.future();
+template <typename R>
+MageFuture<R> AsyncClient::issue(ChaseKind kind,
+                                 const common::ComponentName& name,
+                                 serial::BufferChain request,
+                                 common::NodeId start, common::NodeId to) {
+  auto op = std::make_shared<Chase<R>>(kind, name, std::move(request));
+  op->to = to;
+  MageFuture<R> future(std::shared_ptr<detail::FutureState<R>>(op, &op->state));
+  if (kind == ChaseKind::Find) {
+    locate_and_resume(op);
+    return future;
   }
-  directory_client_->resolve(
-      name, [this, name, promise](
-                std::optional<DirectoryClient::Resolution> resolution) {
-        if (!resolution) {
-          promise.set_error("directory has no record of '" + name + "'");
-          return;
-        }
-        if (resolution->epoch < known_epoch(name)) {
-          // The quorum lags our own confirmed knowledge (an announce is
-          // still in flight); treat as not-yet-found so the chase retries.
-          promise.set_error("directory record of '" + name + "' is stale");
-          return;
-        }
-        note_epoch(name, resolution->epoch);
-        server_.registry().update_forward(name, resolution->host,
-                                          resolution->epoch);
-        promise.set_value(resolution->host);
-      });
-  return promise.future();
+  const common::NodeId at =
+      common::is_no_node(start) ? believed_host(name) : start;
+  if (common::is_no_node(at)) {
+    relocate_and_resume(op, "no local knowledge of '" + name + "'");
+  } else {
+    send_op(op, at);
+  }
+  return future;
 }
 
-MageFuture<common::NodeId> AsyncClient::unfenced_walk(
-    const common::ComponentName& name, common::NodeId start) {
-  proto::LookupRequest request;
-  request.name = name;
-  request.min_epoch = 0;
-  MagePromise<common::NodeId> promise;
+void AsyncClient::send_op(const std::shared_ptr<ChaseOp>& op,
+                          common::NodeId host) {
+  op->at = host;
+  auto on_done = [this, op](rmi::CallResult result) {
+    --outstanding_;
+    on_reply(op, std::move(result));
+  };
   ++outstanding_;
-  sim_.stats().add("rts.unfenced_walks");
-  channel().call(start, proto_verbs::kLookup, request.encode(),
-                 [this, name, promise](rmi::CallResult result) {
-                   --outstanding_;
-                   if (result.ok) {
-                     const auto reply = proto::LookupReply::decode(result.body);
-                     if (reply.status == proto::Status::Ok) {
-                       note_epoch(name, reply.epoch);
-                       server_.registry().update_forward(name, reply.host,
-                                                         reply.epoch);
-                       promise.set_value(reply.host);
-                       return;
-                     }
-                     promise.set_error("unfenced walk for '" + name +
-                                       "' dead-ended: " + reply.error);
-                     return;
-                   }
-                   promise.set_error(result.error);
-                 });
-  return promise.future();
+  switch (op->kind) {
+    case ChaseKind::Invoke:
+      channel().call(op->at, proto_verbs::kInvoke, op->request,
+                     std::move(on_done));
+      return;
+    case ChaseKind::InvokeOneway:
+      // Direct channel unconditionally: one-way verbs are never
+      // channel-retried (a duplicate would re-run the agent method).
+      direct_->call(op->at, proto_verbs::kInvokeOneway, op->request,
+                    std::move(on_done));
+      return;
+    case ChaseKind::Move:
+      channel().call(op->at, proto_verbs::kMove, op->request,
+                     std::move(on_done));
+      return;
+    case ChaseKind::Lock:
+      // Transport-level retransmission only: a channel retry would queue
+      // a second request under a fresh id.
+      transport_.call(op->at, proto_verbs::kLock, op->request,
+                      std::move(on_done), lock_options());
+      return;
+    case ChaseKind::Find:
+      --outstanding_;
+      op->succeed(op->at);
+      return;
+  }
 }
 
-MageFuture<common::NodeId> AsyncClient::locate(
-    const common::ComponentName& name) {
-  if (server_.registry().has_local(name) && !server_.in_transit(name)) {
-    MagePromise<common::NodeId> promise;
-    promise.set_value(transport_.self());
-    return promise.future();
+void AsyncClient::on_reply(const std::shared_ptr<ChaseOp>& op,
+                           rmi::CallResult result) {
+  if (!result.ok) {
+    // After a transport failure it is unknown whether the hop ran.
+    // Repeating a move is harmless (a completed one answers Moved from
+    // the old host), so a move re-locates; an invoke, one-way or lock may
+    // have run, so it ends — as does any rejection the callee's policy
+    // sent.  The error stays as the call reported it.
+    if (op->kind == ChaseKind::Move &&
+        rmi::is_transport_failure(result.error)) {
+      relocate_and_resume(op, std::move(result.error));
+    } else {
+      fail_op(op, std::move(result.error));
+    }
+    return;
   }
+  if (op->kind == ChaseKind::Move) {
+    const auto reply = proto::SimpleReply::decode(result.body);
+    if (reply.status == proto::Status::Ok) return on_moved(op, reply.hint_epoch);
+    return on_setback(op, reply.status, reply.hint, reply.hint_epoch,
+                      reply.error);
+  }
+  if (op->kind == ChaseKind::Lock) {
+    const auto reply = proto::LockReply::decode(result.body);
+    if (reply.status == proto::Status::Ok) {
+      return op->succeed(LockHandle{op->name, op->at, reply.lock_id, reply.kind});
+    }
+    return on_setback(op, reply.status, reply.hint, reply.hint_epoch,
+                      reply.error);
+  }
+  auto reply = proto::InvokeReply::decode(result.body);
+  if (reply.status == proto::Status::Ok) {
+    return op->succeed(Invoked{op->at, std::move(reply.result)});
+  }
+  on_setback(op, reply.status, reply.hint, reply.hint_epoch, reply.error);
+}
 
-  const bool shared = server_.directory().contains(name) &&
-                      server_.directory().info(name).is_public;
+void AsyncClient::on_setback(const std::shared_ptr<ChaseOp>& op,
+                             proto::Status status, common::NodeId hint,
+                             std::uint64_t hint_epoch,
+                             const std::string& error) {
+  switch (status) {
+    case proto::Status::Moved:
+      if (accept_hint(op->name, hint, hint_epoch)) {
+        sim_.stats().add("rts.async_redirects");
+        if (++op->attempts >= kMaxChaseAttempts) {
+          give_up(op, "redirect chain exceeded the chase budget");
+          return;
+        }
+        send_op(op, hint);  // fresh hint: follow immediately, no backoff
+        return;
+      }
+      relocate_and_resume(op, "stale Moved hint rejected");
+      return;
+    case proto::Status::NotFound:
+      relocate_and_resume(op, "object is mid-flight or unknown at " +
+                                  std::to_string(op->at.value()));
+      return;
+    case proto::Status::Error:
+      fail_op(op, error);  // the host's own error, as it reported it
+      return;
+    case proto::Status::Ok:
+      return;
+  }
+}
+
+void AsyncClient::on_moved(const std::shared_ptr<ChaseOp>& op,
+                           std::uint64_t epoch) {
+  // The source's Ok carries the new placement epoch; record it so stale
+  // chains left behind by the old placement are fenced off.
+  note_epoch(op->name, epoch);
+  server_.registry().update_forward(op->name, op->to, epoch);
+  if (directory_client_ != nullptr) {
+    // Fire-and-forget: a reader that races the announce is protected by
+    // the epoch fence, and a lagging quorum record reads as not-yet-found.
+    directory_client_->announce(
+        proto::PlacementRecord{op->name, std::string{}, op->to,
+                               is_shared(op->name), epoch},
+        [](bool) {});
+  }
+  op->succeed(op->to);
+}
+
+void AsyncClient::relocate_and_resume(const std::shared_ptr<ChaseOp>& op,
+                                      std::string why) {
+  if (++op->attempts >= kMaxChaseAttempts) {
+    give_up(op, why);
+    return;
+  }
+  sim_.stats().add("rts.async_relocates");
+  // The object may be mid-flight between namespaces; back off, re-locate
+  // from fresh knowledge, then resume the chase.  A find can complete
+  // inside the backoff event itself (from local knowledge), so its
+  // backoff wakes an enclosing run_until.
+  sim_.schedule_after(
+      kChaseBackoffUs, [this, op] { locate_and_resume(op); },
+      op->kind == ChaseKind::Find ? sim::Wake::Yes : sim::Wake::No);
+}
+
+void AsyncClient::locate_and_resume(const std::shared_ptr<ChaseOp>& op) {
+  const common::ComponentName& name = op->name;
+  if (server_.registry().has_local(name) && !server_.in_transit(name)) {
+    send_op(op, transport_.self());
+    return;
+  }
   common::NodeId start = common::kNoNode;
   if (auto fwd = server_.registry().forward(name)) {
     // Private objects move only through their owner, so the forwarding
-    // address is authoritative; shared ones verify by walking the chain.
-    if (!shared) {
-      MagePromise<common::NodeId> promise;
-      promise.set_value(*fwd);
-      return promise.future();
+    // address is authoritative ("if the object is private, cloc always
+    // accurately represents the bound object's current location",
+    // Section 3.5); shared ones verify by walking the chain.
+    if (!is_shared(name)) {
+      send_op(op, *fwd);
+      return;
     }
     start = *fwd;
   } else if (server_.directory().contains(name)) {
     start = server_.directory().info(name).home;
   }
   if (common::is_no_node(start) || start == transport_.self()) {
-    return directory_fallback(name);
+    ask_directory(op, common::kNoNode);
+    return;
   }
+  walk(op, start, /*fenced=*/true);
+}
 
+void AsyncClient::walk(const std::shared_ptr<ChaseOp>& op,
+                       common::NodeId start, bool fenced) {
   proto::LookupRequest request;
-  request.name = name;
-  request.min_epoch = known_epoch(name);
-  MagePromise<common::NodeId> promise;
+  request.name = op->name;
+  request.min_epoch = fenced ? known_epoch(op->name) : 0;
+  if (!fenced) sim_.stats().add("rts.unfenced_walks");
   ++outstanding_;
   channel().call(
       start, proto_verbs::kLookup, request.encode(),
-      [this, name, start, promise](rmi::CallResult result) {
+      [this, op, start, fenced](rmi::CallResult result) {
         --outstanding_;
+        std::string error = std::move(result.error);
         if (result.ok) {
           const auto reply = proto::LookupReply::decode(result.body);
           if (reply.status == proto::Status::Ok) {
-            note_epoch(name, reply.epoch);
-            server_.registry().update_forward(name, reply.host, reply.epoch);
-            promise.set_value(reply.host);
+            note_epoch(op->name, reply.epoch);
+            server_.registry().update_forward(op->name, reply.host,
+                                              reply.epoch);
+            send_op(op, reply.host);
             return;
           }
+          error = "lookup walk from " + std::to_string(start.value()) +
+                  " dead-ended: " + reply.error;
         }
-        // Chain start unreachable or the walk dead-ended; the replicated
-        // directory (when configured) may still know the placement, and an
-        // unfenced walk is the final fallback — a fenced walk refuses any
-        // chain entry older than this client's own fence, which can strand
-        // a client whose fence outran every reachable entry (e.g. after a
-        // partition bounced between nodes several times).
-        directory_fallback(name)
-            .then([promise](common::NodeId host) mutable {
-              promise.set_value(host);
-            })
-            .on_error([this, name, start, promise](const std::string&) {
-              unfenced_walk(name, start)
-                  .then([promise](common::NodeId host) mutable {
-                    promise.set_value(host);
-                  })
-                  .on_error([promise](const std::string& error) mutable {
-                    promise.set_error(error);
-                  });
-            });
+        // The chain start was unreachable or the walk dead-ended: ask the
+        // replicated directory, then walk unfenced (see the header).
+        if (fenced) {
+          ask_directory(op, start);
+        } else {
+          relocate_and_resume(op, std::move(error));
+        }
       });
-  return promise.future();
 }
 
-// --- the chase --------------------------------------------------------------
-
-void AsyncClient::start_chase(const std::shared_ptr<ChaseOp>& op) {
-  op->at = believed_host(op->name);
-  if (common::is_no_node(op->at)) {
-    relocate_and_resume(op, "no local knowledge of '" + op->name + "'");
+void AsyncClient::ask_directory(const std::shared_ptr<ChaseOp>& op,
+                                common::NodeId walk_from) {
+  auto miss = [this, op, walk_from](std::string why) {
+    if (common::is_no_node(walk_from)) {
+      relocate_and_resume(op, std::move(why));
+    } else {
+      walk(op, walk_from, /*fenced=*/false);
+    }
+  };
+  if (directory_client_ == nullptr) {
+    miss("'" + op->name + "' is not known here (no forwarding address, no "
+         "static-directory entry, no replicated directory configured)");
     return;
   }
-  send_op(op);
-}
-
-void AsyncClient::send_op(const std::shared_ptr<ChaseOp>& op) {
-  ++outstanding_;
-  switch (op->kind) {
-    case ChaseOp::Kind::Invoke: {
-      proto::InvokeRequest request{op->name, op->method, op->args};
-      channel().call(op->at, proto_verbs::kInvoke, request.encode(),
-                     [this, op](rmi::CallResult result) {
-                       --outstanding_;
-                       on_invoke_reply(op, std::move(result));
-                     });
-      return;
-    }
-    case ChaseOp::Kind::InvokeOneway: {
-      proto::InvokeRequest request{op->name, op->method, op->args};
-      // Direct channel unconditionally: one-way verbs are never
-      // channel-retried (a duplicate would re-run the agent method).
-      direct_->call(op->at, proto_verbs::kInvokeOneway, request.encode(),
-                    [this, op](rmi::CallResult result) {
-                      --outstanding_;
-                      on_invoke_reply(op, std::move(result));
-                    });
-      return;
-    }
-    case ChaseOp::Kind::Move: {
-      proto::MoveRequest request;
-      request.name = op->name;
-      request.to = op->to;
-      channel().call(op->at, proto_verbs::kMove, request.encode(),
-                     [this, op](rmi::CallResult result) {
-                       --outstanding_;
-                       on_move_reply(op, std::move(result));
-                     });
-      return;
-    }
-  }
-}
-
-void AsyncClient::on_invoke_reply(const std::shared_ptr<ChaseOp>& op,
-                                  rmi::CallResult result) {
-  if (!result.ok) {
-    relocate_and_resume(op, std::move(result.error));
-    return;
-  }
-  auto reply = proto::InvokeReply::decode(result.body);
-  switch (reply.status) {
-    case proto::Status::Ok:
-      ++*async_invokes_;
-      if (op->kind == ChaseOp::Kind::InvokeOneway) {
-        op->ack.set_value(Unit{});
-      } else {
-        op->result.set_value(std::move(reply.result));
-      }
-      return;
-    case proto::Status::Moved:
-      if (accept_hint(op->name, reply.hint, reply.hint_epoch)) {
-        ++*async_redirects_;
-        if (++op->attempts >= kMaxChaseAttempts) {
-          fail_op(op, "redirect chain exceeded the chase budget");
+  directory_client_->resolve(
+      op->name,
+      [this, op, miss](std::optional<DirectoryClient::Resolution> resolved) {
+        // No record, or the quorum lags our own confirmed knowledge (an
+        // announce is still in flight): not found yet.
+        if (!resolved || resolved->epoch < known_epoch(op->name)) {
+          miss("directory has no fresh record of '" + op->name + "'");
           return;
         }
-        op->at = reply.hint;
-        send_op(op);  // fresh hint: follow immediately, no backoff
-        return;
-      }
-      relocate_and_resume(op, "stale Moved hint rejected");
-      return;
-    case proto::Status::NotFound:
-      relocate_and_resume(op, "object is mid-flight or unknown at " +
-                                  std::to_string(op->at.value()));
-      return;
-    case proto::Status::Error:
-      fail_op(op, reply.error);
-      return;
-  }
+        note_epoch(op->name, resolved->epoch);
+        server_.registry().update_forward(op->name, resolved->host,
+                                          resolved->epoch);
+        send_op(op, resolved->host);
+      });
 }
 
-void AsyncClient::on_move_reply(const std::shared_ptr<ChaseOp>& op,
-                                rmi::CallResult result) {
-  if (!result.ok) {
-    // Idempotent from here: if the move actually completed, the retry at
-    // the stale host is answered with a Moved hint and the chase converges
-    // at the target (where to == self is a no-op).
-    relocate_and_resume(op, std::move(result.error));
-    return;
-  }
-  auto reply = proto::SimpleReply::decode(result.body);
-  switch (reply.status) {
-    case proto::Status::Ok:
-      ++*async_moves_;
-      // The source's Ok carries the new placement epoch; record it so
-      // stale chains left behind by the old placement are fenced off.
-      note_epoch(op->name, reply.hint_epoch);
-      server_.registry().update_forward(op->name, op->to, reply.hint_epoch);
-      if (directory_client_ != nullptr) {
-        // Asynchronous announce (fire-and-forget): readers that race it
-        // are protected by the epoch fence, exactly like the sync path.
-        directory_client_->announce(
-            proto::PlacementRecord{op->name, std::string{}, op->to,
-                                   server_.directory().contains(op->name) &&
-                                       server_.directory()
-                                           .info(op->name)
-                                           .is_public,
-                                   reply.hint_epoch},
-            [](bool) {});
-      }
-      op->moved.set_value(op->to);
-      return;
-    case proto::Status::Moved:
-      if (accept_hint(op->name, reply.hint, reply.hint_epoch)) {
-        ++*async_redirects_;
-        if (++op->attempts >= kMaxChaseAttempts) {
-          fail_op(op, "redirect chain exceeded the chase budget");
-          return;
-        }
-        op->at = reply.hint;
-        send_op(op);
-        return;
-      }
-      relocate_and_resume(op, "stale Moved hint rejected");
-      return;
-    case proto::Status::NotFound:
-      relocate_and_resume(op, "object is mid-flight or unknown at " +
-                                  std::to_string(op->at.value()));
-      return;
-    case proto::Status::Error:
-      fail_op(op, reply.error);
-      return;
-  }
-}
-
-void AsyncClient::relocate_and_resume(const std::shared_ptr<ChaseOp>& op,
-                                      std::string why) {
-  if (++op->attempts >= kMaxChaseAttempts) {
-    fail_op(op, why);
-    return;
-  }
-  ++*async_relocates_;
-  // The object may be mid-flight between namespaces; back off, re-locate
-  // from fresh knowledge, then resume the chase.
-  sim_.schedule_after(
-      kChaseBackoffUs,
-      [this, op, why = std::move(why)]() mutable {
-        locate(op->name)
-            .then([this, op](common::NodeId host) {
-              op->at = host;
-              send_op(op);
-            })
-            .on_error([this, op, why = std::move(why)](
-                          const std::string& locate_error) mutable {
-              relocate_and_resume(op, why + "; then " + locate_error);
-            });
-      },
-      sim::Wake::No);
+void AsyncClient::give_up(const std::shared_ptr<ChaseOp>& op,
+                          const std::string& why) {
+  fail_op(op, "chase for '" + op->name + "' did not converge after " +
+                  std::to_string(op->attempts) + " attempts: " + why);
 }
 
 void AsyncClient::fail_op(const std::shared_ptr<ChaseOp>& op,
-                          const std::string& why) {
-  const char* what = op->kind == ChaseOp::Kind::Move ? "move" : "invoke";
-  const std::string message = std::string(what) + " of '" + op->name +
-                              "' did not converge after " +
-                              std::to_string(op->attempts) +
-                              " attempts: " + why;
+                          std::string error) {
   // Failure can surface from a channel/backoff timer event; wake so an
   // enclosing run_until re-checks its predicate.
   sim_.wake();
-  switch (op->kind) {
-    case ChaseOp::Kind::Invoke:
-      op->result.set_error(message);
-      return;
-    case ChaseOp::Kind::InvokeOneway:
-      op->ack.set_error(message);
-      return;
-    case ChaseOp::Kind::Move:
-      op->moved.set_error(message);
-      return;
-  }
+  op->fail(std::move(error));
 }
 
 // --- public operations ------------------------------------------------------
 
-MageFuture<serial::Buffer> AsyncClient::invoke_raw(
-    const common::ComponentName& name, const std::string& method,
-    serial::Buffer args) {
-  auto op = std::make_shared<ChaseOp>();
-  op->kind = ChaseOp::Kind::Invoke;
-  op->name = name;
-  op->method = method;
-  op->args = std::move(args);
-  start_chase(op);
-  return op->result.future();
+MageFuture<Invoked> AsyncClient::invoke_raw(const common::ComponentName& name,
+                                            const std::string& method,
+                                            serial::Buffer args,
+                                            common::NodeId start) {
+  return issue<Invoked>(
+      ChaseKind::Invoke, name,
+      proto::InvokeRequest{name, method, std::move(args)}.encode(), start);
 }
 
-MageFuture<Unit> AsyncClient::invoke_oneway_raw(
+MageFuture<Invoked> AsyncClient::invoke_oneway_raw(
     const common::ComponentName& name, const std::string& method,
-    serial::Buffer args) {
-  auto op = std::make_shared<ChaseOp>();
-  op->kind = ChaseOp::Kind::InvokeOneway;
-  op->name = name;
-  op->method = method;
-  op->args = std::move(args);
-  start_chase(op);
-  return op->ack.future();
+    serial::Buffer args, common::NodeId start) {
+  return issue<Invoked>(
+      ChaseKind::InvokeOneway, name,
+      proto::InvokeRequest{name, method, std::move(args)}.encode(), start);
 }
 
 MageFuture<common::NodeId> AsyncClient::move(const common::ComponentName& name,
-                                             common::NodeId to) {
-  auto op = std::make_shared<ChaseOp>();
-  op->kind = ChaseOp::Kind::Move;
-  op->name = name;
-  op->to = to;
-  start_chase(op);
-  return op->moved.future();
+                                             common::NodeId to,
+                                             common::NodeId start) {
+  proto::MoveRequest request;
+  request.name = name;
+  request.to = to;
+  return issue<common::NodeId>(ChaseKind::Move, name, request.encode(),
+                               start, to);
 }
 
-MageFuture<double> AsyncClient::load_of(common::NodeId node) {
-  MagePromise<double> promise;
+MageFuture<common::NodeId> AsyncClient::locate(
+    const common::ComponentName& name) {
+  return issue<common::NodeId>(ChaseKind::Find, name, {}, common::kNoNode);
+}
+
+MageFuture<LockHandle> AsyncClient::lock(const common::ComponentName& name,
+                                         common::NodeId target,
+                                         std::uint64_t activity,
+                                         common::NodeId start) {
+  return issue<LockHandle>(ChaseKind::Lock, name,
+                           lock_request(name, target, activity), start);
+}
+
+MageFuture<proto::LockReply> AsyncClient::lock_at(
+    common::NodeId host, const common::ComponentName& name,
+    common::NodeId target, std::uint64_t activity) {
+  MagePromise<proto::LockReply> promise;
+  transport_.call(
+      host, proto_verbs::kLock, lock_request(name, target, activity),
+      [promise](rmi::CallResult result) {
+        if (!result.ok) {
+          proto::LockReply reply;
+          reply.status = proto::Status::Error;
+          reply.error = std::move(result.error);
+          promise.set_value(std::move(reply));
+          return;
+        }
+        promise.set_value(proto::LockReply::decode(result.body));
+      },
+      lock_options());
+  return promise.future();
+}
+
+template <typename R, typename Decode>
+MageFuture<R> AsyncClient::call_once(common::NodeId node, common::VerbId verb,
+                                     serial::BufferChain body, Decode decode) {
+  MagePromise<R> promise;
   ++outstanding_;
-  channel().call(node, proto_verbs::kGetLoad, {},
-                 [this, promise](rmi::CallResult result) {
+  channel().call(node, verb, std::move(body),
+                 [this, promise, decode](rmi::CallResult result) {
                    --outstanding_;
                    if (!result.ok) {
                      promise.set_error(std::move(result.error));
                      return;
                    }
-                   promise.set_value(
-                       proto::LoadReply::decode(result.body).load);
+                   promise.set_value(decode(result.body));
                  });
   return promise.future();
+}
+
+MageFuture<double> AsyncClient::load_of(common::NodeId node) {
+  return call_once<double>(node, proto_verbs::kGetLoad, {}, [](auto& body) {
+    return proto::LoadReply::decode(body).load;
+  });
 }
 
 MageFuture<std::vector<std::pair<std::string, std::uint64_t>>>
 AsyncClient::manifest(common::NodeId node, const std::string& prefix) {
-  MagePromise<std::vector<std::pair<std::string, std::uint64_t>>> promise;
   proto::ManifestRequest request;
   request.prefix = prefix;
-  ++outstanding_;
-  channel().call(node, proto_verbs::kManifest, request.encode(),
-                 [this, promise](rmi::CallResult result) {
-                   --outstanding_;
-                   if (!result.ok) {
-                     promise.set_error(std::move(result.error));
-                     return;
-                   }
-                   promise.set_value(
-                       proto::ManifestReply::decode(result.body).entries);
-                 });
-  return promise.future();
+  return call_once<std::vector<std::pair<std::string, std::uint64_t>>>(
+      node, proto_verbs::kManifest, request.encode(),
+      [](auto& body) { return proto::ManifestReply::decode(body).entries; });
 }
 
 MageFuture<Unit> AsyncClient::ping(common::NodeId node) {
-  MagePromise<Unit> promise;
-  ++outstanding_;
-  channel().call(node, proto_verbs::kPing, {},
-                 [this, promise](rmi::CallResult result) {
-                   --outstanding_;
-                   if (!result.ok) {
-                     promise.set_error(std::move(result.error));
-                     return;
-                   }
-                   promise.set_value(Unit{});
-                 });
-  return promise.future();
+  return call_once<Unit>(node, proto_verbs::kPing, {},
+                         [](auto&) { return Unit{}; });
 }
 
 }  // namespace mage::rts

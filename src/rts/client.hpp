@@ -7,38 +7,37 @@
 // methods, while "the MAGE RTS transparently manages location of code and
 // data".
 //
-// Operations addressed to "wherever the object currently is" (invoke, move,
-// lock) chase the object: they try the best-known host, follow Moved hints
-// along forwarding chains, fall back to a full registry find, and retry
-// with backoff while an object is mid-flight.  This is what lets mobility
+// It is a blocking adapter over AsyncClient, the runtime's one chase.
+// Operations addressed to "wherever the object currently is" (find,
+// invoke, invoke_oneway, move, lock) issue AsyncClient's future from the
+// caller's cached location (cloc) and run the event loop until it
+// completes: the chase follows Moved hints along forwarding chains,
+// re-locates with backoff while an object is mid-flight, and reports the
+// host that served the call back into cloc.  This is what lets mobility
 // attributes that assume static placement keep working on mobile
-// components (Section 3.6).
+// components (Section 3.6).  The adapter adds only the paper's sync-side
+// costs: a registry consult per find, and local procedure calls run in
+// place when cloc is this namespace.  Failures raise the same exception
+// families as Transport::call_sync (rmi::throw_if_marked), else the
+// verb's own: NotFoundError (find), RemoteInvocationError (invoke),
+// LockError (lock), MageError (move).  Single-host verbs (class shipping,
+// statics, discovery, unlock) stay plain call_sync round trips.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "rmi/transport.hpp"
+#include "rts/async_client.hpp"
 #include "rts/directory.hpp"
 #include "rts/protocol.hpp"
 #include "rts/server.hpp"
 #include "serial/traits.hpp"
 
 namespace mage::rts {
-
-class DirectoryClient;
-
-// Proof of a granted stay/move lock; needed to unlock.
-struct LockHandle {
-  common::ComponentName name;
-  common::NodeId host = common::kNoNode;  // where the lock queue lives
-  std::uint64_t lock_id = 0;
-  LockKind kind = LockKind::Stay;
-};
 
 class MageClient {
  public:
@@ -51,26 +50,21 @@ class MageClient {
   [[nodiscard]] MageServer& local_server() { return local_server_; }
   [[nodiscard]] Directory& directory() { return directory_; }
 
-  // Opt-in high-availability naming: when set, the client announces new
-  // components to the replicated director quorum and falls back to it when
-  // the static directory's lead (or a forwarding chain) dead-ends — e.g.
-  // when the original home node is crashed.  Null by default (pure
-  // static-directory behavior).  Not owned.
+  // Opt-in high-availability naming (see AsyncClient::
+  // set_directory_client); new components are announced to the quorum
+  // too.  Null by default (pure static-directory behavior).  Not owned.
   void set_directory_client(DirectoryClient* dclient) {
-    directory_client_ = dclient;
-  }
-  [[nodiscard]] DirectoryClient* directory_client() const {
-    return directory_client_;
+    chase_.set_directory_client(dclient);
   }
 
-  // Epoch-fence bookkeeping: the highest placement epoch this client has
-  // confirmed for `name` (0 = none).  note_epoch records authoritative
-  // knowledge (a directory resolution, a completed move); Moved hints with
-  // an older epoch are rejected instead of chased — a stale chain can
-  // never send this client back to a dead ex-home.
-  void note_epoch(const common::ComponentName& name, std::uint64_t epoch);
+  // The chase's epoch fences (AsyncClient::note_epoch).
+  void note_epoch(const common::ComponentName& name, std::uint64_t epoch) {
+    chase_.note_epoch(name, epoch);
+  }
   [[nodiscard]] std::uint64_t known_epoch(
-      const common::ComponentName& name) const;
+      const common::ComponentName& name) const {
+    return chase_.known_epoch(name);
+  }
   [[nodiscard]] sim::Simulation& simulation() {
     return transport_.network().node_sim(transport_.self());
   }
@@ -91,9 +85,9 @@ class MageClient {
 
   // --- registry --------------------------------------------------------------
 
-  // Resolves the component's current namespace.  Consults the local MAGE
-  // registry first (cheap, direct), then walks forwarding chains from the
-  // best-known starting point.  Throws NotFoundError.
+  // Resolves the component's current namespace: a local MAGE registry
+  // consult (cheap, direct), then AsyncClient::locate — forwarding chains
+  // walked from the best-known starting point.  Throws NotFoundError.
   common::NodeId find(const common::ComponentName& name);
 
   [[nodiscard]] bool is_shared(const common::ComponentName& name) const;
@@ -129,13 +123,14 @@ class MageClient {
 
   // Ships a *locally hosted* object directly to `to` (the agent-style
   // transfer: state and dispatch travel in one message; the receiver pulls
-  // the class image only if it lacks it).
+  // the class image only if it lacks it), through the same send-and-retire
+  // path as mage.move (MageServer::migrate).
   void transfer_out(const common::ComponentName& name, common::NodeId to);
 
   // --- invocation ----------------------------------------------------------
 
-  // Synchronous typed invocation; chases the object from `cloc` (updated
-  // in place as the chase learns the object's location).
+  // Synchronous typed invocation; chases the object from `cloc` (kNoNode:
+  // find first), and updates `cloc` to the host that ran the method.
   template <typename R, typename... Args>
   R invoke(common::NodeId& cloc, const common::ComponentName& name,
            const std::string& method, const Args&... args) {
@@ -242,10 +237,11 @@ class MageClient {
   LockHandle lock(const common::ComponentName& name, common::NodeId target);
   void unlock(const LockHandle& handle);
 
-  // Async variants for multi-activity interleaving tests.  Move-only
-  // callbacks (the spine's convention): captures routinely hold Buffers
-  // and handles, and a UniqueFunction small enough for the inline SBO
-  // never heap-allocates.
+  // Async variants for multi-activity interleaving tests: one request to
+  // `host`, not chased — lock_async hands back the host's reply as sent
+  // (AsyncClient::lock_at).  Move-only callbacks (the spine's convention):
+  // captures routinely hold Buffers and handles, and a UniqueFunction small
+  // enough for the inline SBO never heap-allocates.
   void lock_async(common::NodeId host, const common::ComponentName& name,
                   common::NodeId target,
                   common::UniqueFunction<void(proto::LockReply)> on_reply);
@@ -264,29 +260,18 @@ class MageClient {
  private:
   [[nodiscard]] const net::CostModel& model() const;
 
-  // One full lookup starting from best-known knowledge; nullopt if the
-  // chase dead-ends (caller may back off and retry).
-  std::optional<common::NodeId> try_find(const common::ComponentName& name);
-
-  // Replicated-directory fallback for try_find; nullopt when no
-  // DirectoryClient is configured or the quorum has no (fresh) record.
-  std::optional<common::NodeId> directory_find(
-      const common::ComponentName& name);
-
-  // Applies the epoch fence to a Moved hint: true = chase it (and the
-  // epoch knowledge was recorded), false = stale hint rejected (counted in
-  // "rts.stale_hints_rejected"; caller re-finds instead).
-  bool accept_hint(const common::ComponentName& name, common::NodeId hint,
-                   std::uint64_t hint_epoch);
+  // Runs the event loop until `future` completes; returns its value, or
+  // raises its error — a marked one by rmi::throw_if_marked, anything else
+  // as the exception `unmarked(error)` returns.
+  template <typename T, typename Unmarked>
+  T await(const MageFuture<T>& future, Unmarked unmarked);
 
   rmi::Transport& transport_;
   MageServer& local_server_;
   Directory& directory_;
   const ClassWorld& world_;
   common::ActivityId activity_;
-  DirectoryClient* directory_client_ = nullptr;
-  // Highest confirmed placement epoch per name (see note_epoch).
-  std::map<common::ComponentName, std::uint64_t> known_epochs_;
+  AsyncClient chase_;
   // (target, class) pairs this client knows are cached remotely — lets a
   // cold push ship the image in one optimistic round trip while warm
   // pushes degrade to a small revalidation call.

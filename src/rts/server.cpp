@@ -127,7 +127,7 @@ MageServer::Hint MageServer::locate_hint(
     const common::ComponentName& name) const {
   if (auto it = in_transit_.find(name); it != in_transit_.end()) {
     // The in-flight transfer will bind at our epoch + 1 on arrival.
-    return {proto::Status::Moved, it->second, registry_.epoch_of(name) + 1};
+    return {proto::Status::Moved, it->second.to, it->second.epoch};
   }
   if (auto fwd = registry_.forward(name)) {
     return {proto::Status::Moved, *fwd, registry_.epoch_of(name)};
@@ -407,62 +407,67 @@ void MageServer::handle_move(common::NodeId caller, const Body& body,
     return;
   }
 
-  // Weak migration: serialize heap state, ship it, and only unbind the
-  // local copy once the destination acknowledges.  While the transfer is in
-  // flight the object is marked in-transit so concurrent invocations and
-  // moves are redirected rather than seeing a half-moved object — this is
-  // the "object movement is not atomic" hazard of Section 4.4 handled
-  // structurally.
-  MageObject& object = registry_.local(request.name);
+  migrate(request.name, request.to,
+          [replier = std::move(replier)](rmi::CallResult result) mutable {
+            if (result.ok) {
+              replier.ok(std::move(result.body));
+              return;
+            }
+            proto::SimpleReply reply;
+            reply.status = proto::Status::Error;
+            reply.error = "transfer failed: " + result.error;
+            replier.ok(reply.encode());
+          });
+}
+
+void MageServer::migrate(const common::ComponentName& name, common::NodeId to,
+                         rmi::Transport::Callback done) {
+  MageObject& object = registry_.local(name);
   serial::Writer state_writer;
   object.serialize(state_writer);
 
   // This migration advances the object's placement history by one epoch;
   // the destination binds at new_epoch, every hint we leave behind carries
   // it, and anything older is fenced out downstream.
-  const std::uint64_t new_epoch = registry_.epoch_of(request.name) + 1;
+  const std::uint64_t new_epoch = registry_.epoch_of(name) + 1;
 
   proto::TransferRequest transfer;
-  transfer.name = request.name;
+  transfer.name = name;
   transfer.class_name = object.class_name();
-  transfer.is_public = directory_.contains(request.name)
-                           ? directory_.info(request.name).is_public
-                           : false;
+  transfer.is_public =
+      directory_.contains(name) ? directory_.info(name).is_public : false;
   transfer.epoch = new_epoch;
   transfer.state = state_writer.take();
 
-  in_transit_[request.name] = request.to;
+  in_transit_[name] = Departure{to, new_epoch, std::move(done)};
   transport_.call(
-      request.to, proto_verbs::kTransfer, transfer.encode(),
-      [this, name = request.name, to = request.to, new_epoch,
-       replier = std::move(replier)](rmi::CallResult result) mutable {
-        in_transit_.erase(name);
-        proto::SimpleReply reply;
+      to, proto_verbs::kTransfer, transfer.encode(),
+      [this, name = name](rmi::CallResult result) {
+        Departure departure = std::move(in_transit_.extract(name).mapped());
         if (!result.ok) {
-          reply.status = proto::Status::Error;
-          reply.error = "transfer failed: " + result.error;
-          replier.ok(reply.encode());
+          departure.done(std::move(result));
           return;
         }
-        auto transfer_reply = proto::SimpleReply::decode(result.body);
+        proto::SimpleReply reply;
+        const auto transfer_reply = proto::SimpleReply::decode(result.body);
         if (transfer_reply.status != proto::Status::Ok) {
           reply.status = proto::Status::Error;
           reply.error = "transfer rejected: " + transfer_reply.error;
-          replier.ok(reply.encode());
-          return;
+        } else {
+          // Destination has the object: retire the local copy and leave a
+          // forwarding address behind, fenced at the migration's epoch.
+          auto departed = registry_.unbind(name);
+          departed.reset();
+          registry_.update_forward(name, departure.to, departure.epoch);
+          locks_.on_object_departed(name, departure.to);
+          sim().stats().add("rts.migrations");
+          // The Ok reply tells the mover where the object now is and at
+          // which epoch (so it can announce the move to the directory).
+          reply.hint = departure.to;
+          reply.hint_epoch = departure.epoch;
         }
-        // Destination has the object: retire the local copy and leave a
-        // forwarding address behind, fenced at the migration's epoch.
-        auto departed = registry_.unbind(name);
-        departed.reset();
-        registry_.update_forward(name, to, new_epoch);
-        locks_.on_object_departed(name, to);
-        sim().stats().add("rts.migrations");
-        // The Ok reply tells the mover where the object now is and at
-        // which epoch (so it can announce the move to the directory).
-        reply.hint = to;
-        reply.hint_epoch = new_epoch;
-        replier.ok(reply.encode());
+        result.body = reply.encode();
+        departure.done(std::move(result));
       });
 }
 

@@ -61,6 +61,20 @@ class MageServer {
     return in_transit_.contains(name);
   }
 
+  // Weak migration of the locally hosted `name` to `to`, the one
+  // send-and-retire path behind mage.move and MageClient::transfer_out:
+  // serialize the heap state, mark the object in transit (concurrent
+  // invocations and moves are redirected rather than seeing a half-moved
+  // object — Section 4.4's "object movement is not atomic" hazard), ship
+  // it to bind at the next placement epoch, and once the destination
+  // acknowledges, retire the local copy behind a forwarding address at
+  // that epoch.  `done` gets the transfer call's failure as the transport
+  // reported it, or (ok) the mover's reply: Ok with hint = `to` and
+  // hint_epoch = the new epoch, or Error when the destination refused.
+  // Precondition: the object is bound here and not already in transit.
+  void migrate(const common::ComponentName& name, common::NodeId to,
+               rmi::Transport::Callback done);
+
   [[nodiscard]] const ClassWorld& world() const { return world_; }
   [[nodiscard]] const Directory& directory() const { return directory_; }
 
@@ -164,8 +178,14 @@ class MageServer {
   ClassCache class_cache_;
   LockManager locks_;
   bool warmed_ = false;
-  // name -> destination, for objects mid-transfer away from this node.
-  std::map<common::ComponentName, common::NodeId> in_transit_;
+  // Objects mid-transfer away from this node (see migrate): where they
+  // will bind, at which epoch, and who waits for the outcome.
+  struct Departure {
+    common::NodeId to;
+    std::uint64_t epoch = 0;
+    rmi::Transport::Callback done;
+  };
+  std::map<common::ComponentName, Departure> in_transit_;
   AccessController access_;
   ResourceModel resources_;
   ResourceBoard resource_board_;

@@ -14,6 +14,7 @@
 #include "rmi/channel.hpp"
 #include "rmi/transport.hpp"
 #include "rts/async_client.hpp"
+#include "rts/client.hpp"
 #include "rts/directory.hpp"
 #include "rts/future.hpp"
 #include "rts/server.hpp"
@@ -151,7 +152,13 @@ TEST(AsyncClientTest, HedgeWinnerCancelsLoserRetryTimer) {
 
 // --- epoch fence vs a stale Moved hint -------------------------------------
 
-TEST(AsyncClientTest, ChaseRetriesPastStaleMovedHintUntilChainCatchesUp) {
+// The facade driving the chase: AsyncClient's future, or MageClient
+// blocking on that same future.
+enum class Facade { Async, Sync };
+
+class FacadeChaseTest : public ::testing::TestWithParam<Facade> {};
+
+TEST_P(FacadeChaseTest, ChaseRetriesPastStaleMovedHintUntilChainCatchesUp) {
   Cluster cluster(5);
   cluster.bind_counter("obj", /*home=*/0);
 
@@ -173,25 +180,44 @@ TEST(AsyncClientTest, ChaseRetriesPastStaleMovedHintUntilChainCatchesUp) {
   // no location knowledge, so it asks the static home n1 — whose Moved
   // hint carries the FIRST move's epoch.  The fence must reject it (never
   // chase placement history backwards), and the chase re-locates.
-  AsyncClient chaser(*cluster.servers[3]);
-  chaser.note_epoch("obj", fresh_epoch);
-  auto invoked = chaser.invoke<std::int64_t>("obj", "increment");
-
+  //
   // n1's own min_epoch-fenced lookup dead-ends too (its forwarding
   // knowledge is one epoch behind the chaser's fence), but the chain
   // still leads to the live binding — so locate()'s last-resort unfenced
   // walk follows the stale link forward (epochs rise strictly along a
   // chain) and converges without any outside help.  A genuine
   // retry/hint/fence race, resolved deterministically.
-  ASSERT_TRUE(cluster.sim.run_until([&] { return invoked.completed(); },
-                                    5'000'000));
-  ASSERT_TRUE(invoked.has_value()) << invoked.error();
-  EXPECT_EQ(invoked.value(), 1);  // exactly one execution despite the chase
+  std::int64_t value = 0;
+  if (GetParam() == Facade::Async) {
+    AsyncClient chaser(*cluster.servers[3]);
+    chaser.note_epoch("obj", fresh_epoch);
+    auto invoked = chaser.invoke<std::int64_t>("obj", "increment");
+    ASSERT_TRUE(cluster.sim.run_until([&] { return invoked.completed(); },
+                                      5'000'000));
+    ASSERT_TRUE(invoked.has_value()) << invoked.error();
+    value = invoked.value();
+  } else {
+    MageClient chaser(*cluster.transports[3], *cluster.servers[3],
+                      cluster.directory, cluster.world,
+                      common::ActivityId{4});
+    chaser.note_epoch("obj", fresh_epoch);
+    common::NodeId cloc = cluster.ids[0];  // the static home
+    value = chaser.invoke<std::int64_t>(cloc, "obj", "increment");
+    EXPECT_EQ(cloc, cluster.ids[2]);  // the host that ran it
+  }
+  EXPECT_EQ(value, 1);  // exactly one execution despite the chase
   EXPECT_GE(cluster.counter("rts.stale_hints_rejected"), 1);
   EXPECT_GE(cluster.counter("rts.async_relocates"), 1);
   EXPECT_GE(cluster.counter("rts.unfenced_walks"), 1);
-  EXPECT_EQ(cluster.counter("rts.async_invokes"), 1);
+  EXPECT_EQ(cluster.counter("rts.invocations"), 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(BothFacades, FacadeChaseTest,
+                         ::testing::Values(Facade::Async, Facade::Sync),
+                         [](const ::testing::TestParamInfo<Facade>& info) {
+                           return info.param == Facade::Async ? "Async"
+                                                              : "Sync";
+                         });
 
 // --- one-way verbs are never channel-retried -------------------------------
 

@@ -7,6 +7,7 @@
 // exactly ONE heap allocation (counted via a replaced global operator new).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <optional>
@@ -27,6 +28,7 @@
 #include "serial/writer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
+#include "support/test_objects.hpp"
 
 // Replaces global operator new/delete for this binary so steady-state tests
 // can assert allocation budgets, not just copy budgets.
@@ -632,6 +634,54 @@ TEST(HotpathAllocation, SteadyStateSendIsExactlyOneAllocation) {
     (void)ta.call_sync(b, echo, payload);
   }
   EXPECT_EQ(alloc_count() - before, 2 * kCalls);
+}
+
+TEST(HotpathAllocation, BlockingInvokeAddsOnlyTheChaseOp) {
+  // MageClient::invoke blocks on AsyncClient's chase.  On the happy path
+  // it may cost what the bare protocol round trip costs (call_sync of the
+  // same InvokeRequest) plus at most one allocation: the chase's op, which
+  // also holds the future's state.
+  auto system = testing::make_logic_system(2);
+  const common::NodeId n1{1}, n2{2};
+  system->client(n2).create_component("obj", "Counter");
+  auto& client = system->client(n1);
+  common::NodeId cloc = n2;
+  const rts::proto::InvokeRequest request{"obj", "increment", {}};
+  auto bare_invoke = [&] {
+    (void)rts::proto::InvokeReply::decode(system->transport(n1).call_sync(
+        n2, rts::proto::verbs::kInvoke, request.encode()));
+  };
+  for (int i = 0; i < 64; ++i) {
+    (void)client.invoke<std::int64_t>(cloc, "obj", "increment");
+    bare_invoke();
+  }
+
+  constexpr std::uint64_t kCalls = 100;
+  auto before = alloc_count();
+  for (std::uint64_t i = 0; i < kCalls; ++i) {
+    (void)client.invoke<std::int64_t>(cloc, "obj", "increment");
+  }
+  const std::uint64_t adapter = alloc_count() - before;
+  before = alloc_count();
+  for (std::uint64_t i = 0; i < kCalls; ++i) bare_invoke();
+  const std::uint64_t bare = alloc_count() - before;
+  EXPECT_LE(adapter, bare + kCalls);
+  EXPECT_EQ(cloc, n2);
+}
+
+TEST(AllocCounter, NothrowNewPairsWithTheReplacedDelete) {
+  // std::stable_sort takes its scratch buffer from nothrow operator new
+  // (std::get_temporary_buffer) and hands it back through operator delete.
+  // The counter must replace both, or the buffer comes from an allocator
+  // the replaced delete does not free into (ASan: alloc-dealloc-mismatch).
+  std::vector<int> values(4096);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<int>((i * 7919) % values.size());
+  }
+  const auto before = alloc_count();
+  std::stable_sort(values.begin(), values.end());
+  EXPECT_GT(alloc_count(), before);  // the scratch buffer was counted
+  EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
 }
 
 TEST_F(HotpathRmiFixture, ScatterGatherBodyTravelsIntact) {
