@@ -113,7 +113,8 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::align_val_t,

@@ -8,11 +8,6 @@ namespace mage::rts {
 
 namespace proto_verbs = proto::verbs;
 
-// Lock waits can be long (the queue drains one holder at a time), so a
-// lock request gets a generous transmission budget; duplicates are
-// suppressed server-side.
-constexpr int kLockTransmissions = 64;
-
 // One in-flight chase: the state machine shared by the channel callbacks
 // and the relocation events that advance it.  Chase<R> adds the typed
 // completion state the returned future shares, so an operation costs one
@@ -45,13 +40,16 @@ struct AsyncClient::Chase final : ChaseOp {
 
 namespace {
 
+// Lock waits can be long (the queue drains one holder at a time), so a
+// lock request gets a generous transmission budget; duplicates are
+// suppressed server-side.
+rmi::CallOptions lock_options(const rmi::CallPolicy& policy) {
+  return rmi::CallOptions{policy.attempt_timeout_us, 64};
+}
+
 serial::Buffer lock_request(const common::ComponentName& name,
                             common::NodeId target, std::uint64_t activity) {
-  proto::LockRequest request;
-  request.name = name;
-  request.target = target;
-  request.activity = activity;
-  return request.encode();
+  return proto::LockRequest{name, target, activity}.encode();
 }
 
 }  // namespace
@@ -91,10 +89,6 @@ void AsyncClient::set_policy(rmi::CallPolicy policy) {
   }
   policy_ = policy;
   rebuild_stack();
-}
-
-rmi::CallOptions AsyncClient::lock_options() const {
-  return rmi::CallOptions{policy_.attempt_timeout_us, kLockTransmissions};
 }
 
 // --- epoch fences -----------------------------------------------------------
@@ -171,6 +165,10 @@ MageFuture<R> AsyncClient::issue(ChaseKind kind,
 void AsyncClient::send_op(const std::shared_ptr<ChaseOp>& op,
                           common::NodeId host) {
   op->at = host;
+  if (op->kind == ChaseKind::Find) {
+    op->succeed(host);  // a find ends where it located the object
+    return;
+  }
   auto on_done = [this, op](rmi::CallResult result) {
     --outstanding_;
     on_reply(op, std::move(result));
@@ -195,11 +193,9 @@ void AsyncClient::send_op(const std::shared_ptr<ChaseOp>& op,
       // Transport-level retransmission only: a channel retry would queue
       // a second request under a fresh id.
       transport_.call(op->at, proto_verbs::kLock, op->request,
-                      std::move(on_done), lock_options());
+                      std::move(on_done), lock_options(policy_));
       return;
     case ChaseKind::Find:
-      --outstanding_;
-      op->succeed(op->at);
       return;
   }
 }
@@ -222,69 +218,65 @@ void AsyncClient::on_reply(const std::shared_ptr<ChaseOp>& op,
   }
   if (op->kind == ChaseKind::Move) {
     const auto reply = proto::SimpleReply::decode(result.body);
-    if (reply.status == proto::Status::Ok) return on_moved(op, reply.hint_epoch);
-    return on_setback(op, reply.status, reply.hint, reply.hint_epoch,
-                      reply.error);
-  }
-  if (op->kind == ChaseKind::Lock) {
-    const auto reply = proto::LockReply::decode(result.body);
-    if (reply.status == proto::Status::Ok) {
-      return op->succeed(LockHandle{op->name, op->at, reply.lock_id, reply.kind});
+    if (on_setback(op, reply)) return;
+    // The source's Ok carries the new placement epoch; record it so stale
+    // chains left behind by the old placement are fenced off.
+    note_epoch(op->name, reply.hint_epoch);
+    server_.registry().update_forward(op->name, op->to, reply.hint_epoch);
+    if (directory_client_ != nullptr) {
+      // Fire-and-forget: a reader that races the announce is protected by
+      // the epoch fence, and a lagging quorum record reads as not-yet-found.
+      directory_client_->announce(
+          proto::PlacementRecord{op->name, std::string{}, op->to,
+                                 is_shared(op->name), reply.hint_epoch},
+          [](bool) {});
     }
-    return on_setback(op, reply.status, reply.hint, reply.hint_epoch,
-                      reply.error);
+    op->succeed(op->to);
+  } else if (op->kind == ChaseKind::Lock) {
+    const auto reply = proto::LockReply::decode(result.body);
+    if (on_setback(op, reply)) return;
+    op->succeed(LockHandle{op->name, op->at, reply.lock_id, reply.kind});
+  } else {
+    auto reply = proto::InvokeReply::decode(result.body);
+    if (on_setback(op, reply)) return;
+    op->succeed(Invoked{op->at, std::move(reply.result)});
   }
-  auto reply = proto::InvokeReply::decode(result.body);
-  if (reply.status == proto::Status::Ok) {
-    return op->succeed(Invoked{op->at, std::move(reply.result)});
-  }
-  on_setback(op, reply.status, reply.hint, reply.hint_epoch, reply.error);
 }
 
-void AsyncClient::on_setback(const std::shared_ptr<ChaseOp>& op,
-                             proto::Status status, common::NodeId hint,
-                             std::uint64_t hint_epoch,
-                             const std::string& error) {
-  switch (status) {
+template <typename Reply>
+bool AsyncClient::on_setback(const std::shared_ptr<ChaseOp>& op,
+                             const Reply& reply) {
+  switch (reply.status) {
+    case proto::Status::Ok:
+      return false;
     case proto::Status::Moved:
-      if (accept_hint(op->name, hint, hint_epoch)) {
-        sim_.stats().add("rts.async_redirects");
-        if (++op->attempts >= kMaxChaseAttempts) {
-          give_up(op, "redirect chain exceeded the chase budget");
-          return;
-        }
-        send_op(op, hint);  // fresh hint: follow immediately, no backoff
-        return;
+      if (!accept_hint(op->name, reply.hint, reply.hint_epoch)) {
+        relocate_and_resume(op, "stale Moved hint rejected");
+        return true;
       }
-      relocate_and_resume(op, "stale Moved hint rejected");
-      return;
+      sim_.stats().add("rts.async_redirects");
+      if (++op->attempts >= kMaxChaseAttempts) {
+        give_up(op, "redirect chain exceeded the chase budget");
+      } else {
+        send_op(op, reply.hint);  // fresh hint: follow immediately
+      }
+      return true;
     case proto::Status::NotFound:
       relocate_and_resume(op, "object is mid-flight or unknown at " +
                                   std::to_string(op->at.value()));
-      return;
+      return true;
     case proto::Status::Error:
-      fail_op(op, error);  // the host's own error, as it reported it
-      return;
-    case proto::Status::Ok:
-      return;
+      // The host's own error; a refused move or lock names the operation.
+      if (op->kind == ChaseKind::Move) {
+        fail_op(op, "move of '" + op->name + "' failed: " + reply.error);
+      } else if (op->kind == ChaseKind::Lock) {
+        fail_op(op, "lock('" + op->name + "') failed: " + reply.error);
+      } else {
+        fail_op(op, reply.error);
+      }
+      return true;
   }
-}
-
-void AsyncClient::on_moved(const std::shared_ptr<ChaseOp>& op,
-                           std::uint64_t epoch) {
-  // The source's Ok carries the new placement epoch; record it so stale
-  // chains left behind by the old placement are fenced off.
-  note_epoch(op->name, epoch);
-  server_.registry().update_forward(op->name, op->to, epoch);
-  if (directory_client_ != nullptr) {
-    // Fire-and-forget: a reader that races the announce is protected by
-    // the epoch fence, and a lagging quorum record reads as not-yet-found.
-    directory_client_->announce(
-        proto::PlacementRecord{op->name, std::string{}, op->to,
-                               is_shared(op->name), epoch},
-        [](bool) {});
-  }
-  op->succeed(op->to);
+  return true;
 }
 
 void AsyncClient::relocate_and_resume(const std::shared_ptr<ChaseOp>& op,
@@ -430,11 +422,9 @@ MageFuture<Invoked> AsyncClient::invoke_oneway_raw(
 MageFuture<common::NodeId> AsyncClient::move(const common::ComponentName& name,
                                              common::NodeId to,
                                              common::NodeId start) {
-  proto::MoveRequest request;
-  request.name = name;
-  request.to = to;
-  return issue<common::NodeId>(ChaseKind::Move, name, request.encode(),
-                               start, to);
+  return issue<common::NodeId>(ChaseKind::Move, name,
+                               proto::MoveRequest{name, to}.encode(), start,
+                               to);
 }
 
 MageFuture<common::NodeId> AsyncClient::locate(
@@ -466,7 +456,7 @@ MageFuture<proto::LockReply> AsyncClient::lock_at(
         }
         promise.set_value(proto::LockReply::decode(result.body));
       },
-      lock_options());
+      lock_options(policy_));
   return promise.future();
 }
 
@@ -495,10 +485,8 @@ MageFuture<double> AsyncClient::load_of(common::NodeId node) {
 
 MageFuture<std::vector<std::pair<std::string, std::uint64_t>>>
 AsyncClient::manifest(common::NodeId node, const std::string& prefix) {
-  proto::ManifestRequest request;
-  request.prefix = prefix;
   return call_once<std::vector<std::pair<std::string, std::uint64_t>>>(
-      node, proto_verbs::kManifest, request.encode(),
+      node, proto_verbs::kManifest, proto::ManifestRequest{prefix}.encode(),
       [](auto& body) { return proto::ManifestReply::decode(body).entries; });
 }
 

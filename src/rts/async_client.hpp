@@ -1,20 +1,19 @@
 // AsyncClient: the MAGE client core — THE way to program MAGE
-// (docs/API.md) and the one location-transparent chase in the runtime.
+// (docs/API.md) and the runtime's one location-transparent chase.
 //
 // Every operation returns a MageFuture and delivers its completion on the
 // calling node's own shard, so application logic written as future chains
 // runs unchanged (and bit-identically) on the driver engine and on the
 // sharded engine at any worker count.  MageClient (rts/client.hpp) is a
-// blocking adapter over this class: it issues the same futures and runs
-// the driver's event loop until they complete.
+// blocking adapter over these futures.
 //
 //   * invoke<R>/invoke_raw, invoke_oneway, move and lock chase the object:
-//     try the start host (the caller's cloc, else believed_host), follow
+//     try the start host (a caller's cloc, else believed_host), follow
 //     Moved hints (epoch-fenced — a stale hint is rejected and counted in
-//     "rts.stale_hints_rejected"), and re-locate with backoff on NotFound.
-//     A transport failure re-locates a move (repeating one is harmless) but
-//     ends an invoke, one-way or lock, which may have run.  The chase is
-//     bounded by kMaxChaseAttempts and paced by kChaseBackoffUs.
+//     "rts.stale_hints_rejected"), and re-locate with backoff on NotFound,
+//     within kMaxChaseAttempts.  A transport failure re-locates a move
+//     (repeating one is harmless) but ends an invoke, one-way or lock,
+//     which may have run.
 //   * locate() is the chase's find: the epoch-fenced lookup walk, the
 //     replicated-directory fallback, then one unfenced walk, retried with
 //     the same budget and pacing.
@@ -229,10 +228,10 @@ class AsyncClient {
   // Sends the op's request to `host` (a find completes there instead).
   void send_op(const std::shared_ptr<ChaseOp>& op, common::NodeId host);
   void on_reply(const std::shared_ptr<ChaseOp>& op, rmi::CallResult result);
-  void on_setback(const std::shared_ptr<ChaseOp>& op, proto::Status status,
-                  common::NodeId hint, std::uint64_t hint_epoch,
-                  const std::string& error);
-  void on_moved(const std::shared_ptr<ChaseOp>& op, std::uint64_t epoch);
+  // Follows a reply that is not Ok (Moved, NotFound, Error) and returns
+  // true; returns false for Ok, which the caller completes.
+  template <typename Reply>
+  bool on_setback(const std::shared_ptr<ChaseOp>& op, const Reply& reply);
 
   // Backoff, re-locate, resume — or give up once the chase budget is
   // spent.  `why` explains the setback in the final error.
@@ -261,7 +260,6 @@ class AsyncClient {
   template <typename R, typename Decode>
   MageFuture<R> call_once(common::NodeId node, common::VerbId verb,
                           serial::BufferChain body, Decode decode);
-  [[nodiscard]] rmi::CallOptions lock_options() const;
 
   MageServer& server_;
   rmi::Transport& transport_;

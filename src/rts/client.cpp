@@ -1,9 +1,7 @@
 #include "rts/client.hpp"
 
-#include <optional>
 #include <utility>
 
-#include "common/log.hpp"
 #include "rts/director.hpp"
 
 namespace mage::rts {
@@ -28,7 +26,7 @@ template <typename T, typename Unmarked>
 T MageClient::await(const MageFuture<T>& future, Unmarked unmarked) {
   if (!future.completed() &&
       !simulation().run_until([&future] { return future.completed(); })) {
-    throw common::TransportError("simulation drained during a chase");
+    throw common::TransportError("simulation drained while blocked");
   }
   if (future.has_error()) {
     rmi::throw_if_marked(future.error());
@@ -186,18 +184,18 @@ void MageClient::transfer_out(const common::ComponentName& name,
   }
   if (to == self()) return;
 
-  std::optional<rmi::CallResult> result;
-  local_server_.migrate(name, to, [&result](rmi::CallResult r) {
-    result = std::move(r);
+  MagePromise<serial::BufferChain> sent;
+  local_server_.migrate(name, to, [sent](rmi::CallResult result) {
+    if (result.ok) {
+      sent.set_value(std::move(result.body));
+    } else {
+      sent.set_error(std::move(result.error));
+    }
   });
-  if (!simulation().run_until([&result] { return result.has_value(); })) {
-    throw common::TransportError("simulation drained during a transfer");
-  }
-  if (!result->ok) {
-    rmi::throw_if_marked(result->error);
-    throw common::RemoteInvocationError(result->error);
-  }
-  const auto reply = proto::SimpleReply::decode(result->body);
+  const auto reply = proto::SimpleReply::decode(
+      await(sent.future(), [](const std::string& error) {
+        return common::RemoteInvocationError(error);
+      }));
   if (reply.status != proto::Status::Ok) {
     throw common::MageError("transfer of '" + name + "' failed: " +
                             reply.error);

@@ -7,21 +7,15 @@
 // methods, while "the MAGE RTS transparently manages location of code and
 // data".
 //
-// It is a blocking adapter over AsyncClient, the runtime's one chase.
 // Operations addressed to "wherever the object currently is" (find,
-// invoke, invoke_oneway, move, lock) issue AsyncClient's future from the
-// caller's cached location (cloc) and run the event loop until it
-// completes: the chase follows Moved hints along forwarding chains,
-// re-locates with backoff while an object is mid-flight, and reports the
-// host that served the call back into cloc.  This is what lets mobility
-// attributes that assume static placement keep working on mobile
-// components (Section 3.6).  The adapter adds only the paper's sync-side
-// costs: a registry consult per find, and local procedure calls run in
-// place when cloc is this namespace.  Failures raise the same exception
-// families as Transport::call_sync (rmi::throw_if_marked), else the
-// verb's own: NotFoundError (find), RemoteInvocationError (invoke),
-// LockError (lock), MageError (move).  Single-host verbs (class shipping,
-// statics, discovery, unlock) stay plain call_sync round trips.
+// invoke, invoke_oneway, move, lock) are blocking adapters over
+// AsyncClient's chase, the runtime's only one: they issue its future from
+// the caller's cached location (cloc) and run the event loop until it
+// completes.  This is what lets mobility attributes that assume static
+// placement keep working on mobile components (Section 3.6).  The adapter
+// adds only the paper's sync-side costs — a registry consult per find,
+// local calls run in place — and raises failures through
+// rmi::throw_if_marked, like Transport::call_sync (docs/API.md).
 #pragma once
 
 #include <cstdint>

@@ -422,6 +422,12 @@ void MageServer::handle_move(common::NodeId caller, const Body& body,
 
 void MageServer::migrate(const common::ComponentName& name, common::NodeId to,
                          rmi::Transport::Callback done) {
+  // Weak migration: serialize heap state, ship it, and only unbind the
+  // local copy once the destination acknowledges.  While the transfer is in
+  // flight the object is marked in-transit so concurrent invocations and
+  // moves are redirected rather than seeing a half-moved object — this is
+  // the "object movement is not atomic" hazard of Section 4.4 handled
+  // structurally.
   MageObject& object = registry_.local(name);
   serial::Writer state_writer;
   object.serialize(state_writer);

@@ -61,17 +61,12 @@ class MageServer {
     return in_transit_.contains(name);
   }
 
-  // Weak migration of the locally hosted `name` to `to`, the one
-  // send-and-retire path behind mage.move and MageClient::transfer_out:
-  // serialize the heap state, mark the object in transit (concurrent
-  // invocations and moves are redirected rather than seeing a half-moved
-  // object — Section 4.4's "object movement is not atomic" hazard), ship
-  // it to bind at the next placement epoch, and once the destination
-  // acknowledges, retire the local copy behind a forwarding address at
-  // that epoch.  `done` gets the transfer call's failure as the transport
-  // reported it, or (ok) the mover's reply: Ok with hint = `to` and
-  // hint_epoch = the new epoch, or Error when the destination refused.
-  // Precondition: the object is bound here and not already in transit.
+  // Weak migration of the locally bound, not-in-transit `name` to `to` —
+  // the one sender behind mage.move and MageClient::transfer_out: ship the
+  // state to bind at the next placement epoch, in transit meanwhile, then
+  // retire the local copy behind a forwarding address at that epoch.
+  // `done` gets the transfer call's failure, or the mover's reply: Ok
+  // (hint = `to`, hint_epoch = the new epoch) or Error (refused).
   void migrate(const common::ComponentName& name, common::NodeId to,
                rmi::Transport::Callback done);
 
