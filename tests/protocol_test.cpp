@@ -3,6 +3,12 @@
 // pin the encoding explicitly so a wire-format change is a visible diff.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "rts/protocol.hpp"
 
 namespace mage::rts::proto {
@@ -249,6 +255,143 @@ TEST(Protocol, NamesWithUnicodeAndNulls) {
   LookupRequest v;
   v.name = std::string("g\0o\xC3\xA9", 5);
   EXPECT_EQ(LookupRequest::decode(v.encode()).name, v.name);
+}
+
+
+// --- pinned wire bytes -------------------------------------------------------
+//
+// One fully populated value per wire struct (every field non-default, every
+// payload non-empty), encoded and compared byte for byte with the layout
+// recorded in docs/WIRE_FORMAT.md.  A round trip cannot see a layout change
+// that encode and decode make symmetrically; these hex strings can.  The
+// chain-encoded structs also pin their fragment count (the zero-copy
+// payload framing); `fragments == 0` means the struct encodes to one flat
+// serial::Buffer.
+
+std::string to_hex(const serial::Buffer& bytes) {
+  std::string out;
+  char byte[3];
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    std::snprintf(byte, sizeof byte, "%02x", bytes.data()[i]);
+    out += byte;
+  }
+  return out;
+}
+
+struct PinnedCase {
+  const char* name;
+  serial::Buffer bytes;   // the flattened encoding
+  std::size_t fragments;  // 0 = flat Buffer, else the chain's fragment count
+  std::size_t expected_fragments;
+  // Decodes a body and re-encodes the result, flattened.
+  std::function<serial::Buffer(const serial::BufferChain&)> reencode;
+  const char* hex;
+};
+
+template <typename T>
+PinnedCase pin(const char* name, const T& v, std::size_t fragments,
+               const char* hex) {
+  const auto encoded = v.encode();
+  std::size_t actual_fragments = 0;
+  if constexpr (!std::is_same_v<std::decay_t<decltype(encoded)>,
+                                serial::Buffer>) {
+    actual_fragments = encoded.fragments();
+  }
+  return PinnedCase{name, serial::BufferChain(encoded).flatten(),
+                    actual_fragments, fragments,
+                    [](const serial::BufferChain& body) {
+                      return serial::BufferChain(T::decode(body).encode())
+                          .flatten();
+                    },
+                    hex};
+}
+
+std::vector<PinnedCase> pinned_cases() {
+  using serial::Buffer;
+  const common::NodeId n5{5};
+  const common::NodeId n6{6};
+  return {
+      pin("LookupRequest", LookupRequest{"geo", 3, 9}, 0,
+          "0300000067656f030000000900000000000000"),
+      pin("LookupReply", LookupReply{Status::Moved, n5, "err", 7}, 0,
+          "0105000000030000006572720700000000000000"),
+      pin("ClassCheckRequest", ClassCheckRequest{"Cls"}, 0,
+          "03000000436c73"),
+      pin("ClassCheckReply", ClassCheckReply{true}, 0, "01"),
+      pin("FetchClassRequest", FetchClassRequest{"Cls"}, 0,
+          "03000000436c73"),
+      pin("ClassImage", ClassImage{"Img", 3}, 0,
+          "03000000496d6703000000cacaca"),
+      pin("LoadClassRequest", LoadClassRequest{ClassImage{"Ld", 2}}, 0,
+          "020000004c6402000000caca"),
+      pin("InstantiateRequest", InstantiateRequest{"Cls", "obj", true, n5}, 0,
+          "03000000436c73030000006f626a0105000000"),
+      pin("SimpleReply", SimpleReply{Status::Moved, n5, "err", 11}, 0,
+          "0105000000030000006572720b00000000000000"),
+      pin("MoveRequest", MoveRequest{"obj", n6}, 0,
+          "030000006f626a06000000"),
+      pin("TransferRequest",
+          TransferRequest{"obj", "Cls", true, 12, Buffer({1, 2, 3})}, 2,
+          "030000006f626a03000000436c73010c0000000000000003000000010203"),
+      pin("InvokeRequest", InvokeRequest{"obj", "run", Buffer({4, 5})}, 2,
+          "030000006f626a0300000072756e020000000405"),
+      pin("InvokeReply",
+          InvokeReply{Status::Error, n6, "bad", 13, Buffer({6, 7, 8})}, 2,
+          "0306000000030000006261640d0000000000000003000000060708"),
+      pin("FetchResultRequest", FetchResultRequest{"res"}, 0,
+          "03000000726573"),
+      pin("LockRequest", LockRequest{"obj", n5, 14}, 0,
+          "030000006f626a050000000e00000000000000"),
+      pin("LockReply", LockReply{Status::Moved, n6, 15, LockKind::Move, "lk", 16},
+          0, "01060000000f0000000000000001020000006c6b1000000000000000"),
+      pin("UnlockRequest", UnlockRequest{"obj", 17}, 0,
+          "030000006f626a1100000000000000"),
+      pin("StaticGetRequest", StaticGetRequest{"Cls", "key"}, 0,
+          "03000000436c73030000006b6579"),
+      pin("StaticPutRequest", StaticPutRequest{"Cls", "key", Buffer({9})}, 2,
+          "03000000436c73030000006b65790100000009"),
+      pin("ExecRequest",
+          ExecRequest{"Cls", "obj", "run", Buffer({10, 11}), n6}, 3,
+          "03000000436c73030000006f626a0300000072756e020000000a0b06000000"),
+      pin("DiscoverRequest", DiscoverRequest{"cpu"}, 0, "03000000637075"),
+      pin("DiscoverReply", DiscoverReply{true, 2.5}, 0, "010000000000000440"),
+      pin("VoteRequest", VoteRequest{18, n5}, 0, "120000000000000005000000"),
+      pin("VoteReply", VoteReply{19, true}, 0, "130000000000000001"),
+      pin("HeartbeatRequest", HeartbeatRequest{20, n6}, 0,
+          "140000000000000006000000"),
+      pin("HeartbeatReply", HeartbeatReply{21, true}, 0, "150000000000000001"),
+      pin("DirAnnounceRequest",
+          DirAnnounceRequest{PlacementRecord{"obj", "Cls", n5, true, 22}}, 0,
+          "030000006f626a03000000436c7305000000011600000000000000"),
+      pin("DirAnnounceReply", DirAnnounceReply{Status::Moved, n6, 23, "da"}, 0,
+          "01060000001700000000000000020000006461"),
+      pin("DirResolveRequest", DirResolveRequest{"obj"}, 0, "030000006f626a"),
+      pin("DirResolveReply", DirResolveReply{Status::Ok, n5, 24, n6, "dr"}, 0,
+          "0005000000180000000000000006000000020000006472"),
+      pin("ManifestRequest", ManifestRequest{"part/"}, 0,
+          "05000000706172742f"),
+      pin("ManifestReply", ManifestReply{{{"part/0", 25}, {"part/1", 26}}}, 0,
+          "0200000006000000706172742f30190000000000000006000000706172742f31"
+          "1a00000000000000"),
+      pin("LoadReply", LoadReply{3.75}, 0, "0000000000000e40"),
+  };
+}
+
+TEST(ProtocolPinned, EveryStructEncodesToItsRecordedBytesAndFragments) {
+  const auto cases = pinned_cases();
+  EXPECT_EQ(cases.size(), 33u);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(to_hex(c.bytes), c.hex);
+    EXPECT_EQ(c.fragments, c.expected_fragments);
+  }
+}
+
+TEST(ProtocolPinned, EveryPinnedEncodingDecodesToTheSameValue) {
+  for (const auto& c : pinned_cases()) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(to_hex(c.reencode(serial::BufferChain(c.bytes))), c.hex);
+  }
 }
 
 }  // namespace
