@@ -196,6 +196,13 @@ std::vector<Envelope> Envelope::decode_batch(const serial::Buffer& wire) {
                                      std::to_string(tag));
   }
   const std::uint32_t count = r.read_u32();
+  // Each sub-envelope carries at least its u32 size prefix; reject a count
+  // the frame cannot hold before reserving for it.
+  if (count > r.remaining() / 4) {
+    throw common::SerializationError(
+        "batch frame declares " + std::to_string(count) + " sub-envelopes, " +
+        std::to_string(r.remaining()) + " bytes remain");
+  }
   std::vector<Envelope> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -16,556 +16,22 @@ const char* status_name(Status s) {
   return "?";
 }
 
-void put_node(serial::Writer& w, common::NodeId n) { w.write_u32(n.value()); }
-void put_node(serial::ChainWriter& w, common::NodeId n) {
-  w.write_u32(n.value());
-}
-
-common::NodeId get_node(serial::ChainReader& r) {
-  return common::NodeId{r.read_u32()};
-}
-
-// --- LookupRequest -----------------------------------------------------------
-
-serial::Buffer LookupRequest::encode() const {
-  serial::Writer w;
-  w.write_string(name);
-  w.write_u32(hops);
-  w.write_u64(min_epoch);
-  return w.take();
-}
-
-LookupRequest LookupRequest::decode(serial::ChainReader& r) {
-  LookupRequest v;
-  v.name = r.read_string();
-  v.hops = r.read_u32();
-  v.min_epoch = r.read_u64();
-  return v;
-}
-
-// --- LookupReply ---------------------------------------------------------------
-
-serial::Buffer LookupReply::encode() const {
-  serial::Writer w;
-  w.write_u8(static_cast<std::uint8_t>(status));
-  put_node(w, host);
-  w.write_string(error);
-  w.write_u64(epoch);
-  return w.take();
-}
-
-LookupReply LookupReply::decode(serial::ChainReader& r) {
-  LookupReply v;
-  v.status = static_cast<Status>(r.read_u8());
-  v.host = get_node(r);
-  v.error = r.read_string();
-  v.epoch = r.read_u64();
-  return v;
-}
-
-// --- ClassCheckRequest / Reply --------------------------------------------------
-
-serial::Buffer ClassCheckRequest::encode() const {
-  serial::Writer w;
-  w.write_string(class_name);
-  return w.take();
-}
-
-ClassCheckRequest ClassCheckRequest::decode(serial::ChainReader& r) {
-  return ClassCheckRequest{r.read_string()};
-}
-
-serial::Buffer ClassCheckReply::encode() const {
-  serial::Writer w;
-  w.write_bool(cached);
-  return w.take();
-}
-
-ClassCheckReply ClassCheckReply::decode(serial::ChainReader& r) {
-  return ClassCheckReply{r.read_bool()};
-}
-
-// --- FetchClassRequest / ClassImage / LoadClassRequest ---------------------------
-
-serial::Buffer FetchClassRequest::encode() const {
-  serial::Writer w;
-  w.write_string(class_name);
-  return w.take();
-}
-
-FetchClassRequest FetchClassRequest::decode(serial::ChainReader& r) {
-  return FetchClassRequest{r.read_string()};
-}
-
-serial::Buffer ClassImage::encode() const {
-  serial::Writer w(4 + class_name.size() + 4 + code_size);
+void ClassImage::put_fields(serial::Writer& w) const {
+  w.reserve(w.size() + 4 + class_name.size() + 4 + code_size);
   w.write_string(class_name);
   w.write_u32(code_size);
   // Filler standing in for the class file's bytecode so the simulated wire
   // pays the real transfer cost.
   w.write_fill(0xCA, code_size);
-  return w.take();
 }
 
-ClassImage ClassImage::decode(serial::ChainReader& r) {
-  ClassImage v;
-  v.class_name = r.read_string();
-  v.code_size = r.read_u32();
+void ClassImage::get_fields(serial::ChainReader& r) {
+  class_name = r.read_string();
+  code_size = r.read_u32();
   // The filler is only there so the wire pays the transfer cost; skip it
   // (bounds-checked before anything is allocated, so a corrupt code_size
   // raises SerializationError, never a giant allocation).
-  r.skip(v.code_size);
-  return v;
-}
-
-serial::Buffer LoadClassRequest::encode() const {
-  return image.encode();
-}
-
-LoadClassRequest LoadClassRequest::decode(serial::ChainReader& r) {
-  return LoadClassRequest{ClassImage::decode(r)};
-}
-
-// --- InstantiateRequest ---------------------------------------------------------
-
-serial::Buffer InstantiateRequest::encode() const {
-  serial::Writer w;
-  w.write_string(class_name);
-  w.write_string(object_name);
-  w.write_bool(is_public);
-  put_node(w, class_source);
-  return w.take();
-}
-
-InstantiateRequest InstantiateRequest::decode(serial::ChainReader& r) {
-  InstantiateRequest v;
-  v.class_name = r.read_string();
-  v.object_name = r.read_string();
-  v.is_public = r.read_bool();
-  v.class_source = get_node(r);
-  return v;
-}
-
-// --- SimpleReply ------------------------------------------------------------------
-
-serial::Buffer SimpleReply::encode() const {
-  serial::Writer w;
-  w.write_u8(static_cast<std::uint8_t>(status));
-  put_node(w, hint);
-  w.write_string(error);
-  w.write_u64(hint_epoch);
-  return w.take();
-}
-
-SimpleReply SimpleReply::decode(serial::ChainReader& r) {
-  SimpleReply v;
-  v.status = static_cast<Status>(r.read_u8());
-  v.hint = get_node(r);
-  v.error = r.read_string();
-  v.hint_epoch = r.read_u64();
-  return v;
-}
-
-// --- MoveRequest -------------------------------------------------------------------
-
-serial::Buffer MoveRequest::encode() const {
-  serial::Writer w;
-  w.write_string(name);
-  put_node(w, to);
-  return w.take();
-}
-
-MoveRequest MoveRequest::decode(serial::ChainReader& r) {
-  MoveRequest v;
-  v.name = r.read_string();
-  v.to = get_node(r);
-  return v;
-}
-
-// --- TransferRequest ----------------------------------------------------------------
-
-serial::BufferChain TransferRequest::encode() const {
-  serial::ChainWriter w;
-  w.write_string(name);
-  w.write_string(class_name);
-  w.write_bool(is_public);
-  w.write_u64(epoch);
-  w.append_payload(state);
-  return w.take();
-}
-
-TransferRequest TransferRequest::decode(serial::ChainReader& r) {
-  TransferRequest v;
-  v.name = r.read_string();
-  v.class_name = r.read_string();
-  v.is_public = r.read_bool();
-  v.epoch = r.read_u64();
-  v.state = r.read_bytes();
-  return v;
-}
-
-// --- InvokeRequest / InvokeReply ------------------------------------------------------
-
-serial::BufferChain InvokeRequest::encode() const {
-  serial::ChainWriter w;
-  w.write_string(name);
-  w.write_string(method);
-  w.append_payload(args);
-  return w.take();
-}
-
-InvokeRequest InvokeRequest::decode(serial::ChainReader& r) {
-  InvokeRequest v;
-  v.name = r.read_string();
-  v.method = r.read_string();
-  v.args = r.read_bytes();
-  return v;
-}
-
-serial::BufferChain InvokeReply::encode() const {
-  serial::ChainWriter w;
-  w.write_u8(static_cast<std::uint8_t>(status));
-  put_node(w, hint);
-  w.write_string(error);
-  w.write_u64(hint_epoch);
-  w.append_payload(result);
-  return w.take();
-}
-
-InvokeReply InvokeReply::decode(serial::ChainReader& r) {
-  InvokeReply v;
-  v.status = static_cast<Status>(r.read_u8());
-  v.hint = get_node(r);
-  v.error = r.read_string();
-  v.hint_epoch = r.read_u64();
-  v.result = r.read_bytes();
-  return v;
-}
-
-// --- FetchResultRequest ------------------------------------------------------------
-
-serial::Buffer FetchResultRequest::encode() const {
-  serial::Writer w;
-  w.write_string(name);
-  return w.take();
-}
-
-FetchResultRequest FetchResultRequest::decode(serial::ChainReader& r) {
-  return FetchResultRequest{r.read_string()};
-}
-
-// --- LockRequest / LockReply / UnlockRequest -------------------------------------------
-
-serial::Buffer LockRequest::encode() const {
-  serial::Writer w;
-  w.write_string(name);
-  put_node(w, target);
-  w.write_u64(activity);
-  return w.take();
-}
-
-LockRequest LockRequest::decode(serial::ChainReader& r) {
-  LockRequest v;
-  v.name = r.read_string();
-  v.target = get_node(r);
-  v.activity = r.read_u64();
-  return v;
-}
-
-serial::Buffer LockReply::encode() const {
-  serial::Writer w;
-  w.write_u8(static_cast<std::uint8_t>(status));
-  put_node(w, hint);
-  w.write_u64(lock_id);
-  w.write_u8(static_cast<std::uint8_t>(kind));
-  w.write_string(error);
-  w.write_u64(hint_epoch);
-  return w.take();
-}
-
-LockReply LockReply::decode(serial::ChainReader& r) {
-  LockReply v;
-  v.status = static_cast<Status>(r.read_u8());
-  v.hint = get_node(r);
-  v.lock_id = r.read_u64();
-  v.kind = static_cast<LockKind>(r.read_u8());
-  v.error = r.read_string();
-  v.hint_epoch = r.read_u64();
-  return v;
-}
-
-serial::Buffer UnlockRequest::encode() const {
-  serial::Writer w;
-  w.write_string(name);
-  w.write_u64(lock_id);
-  return w.take();
-}
-
-UnlockRequest UnlockRequest::decode(serial::ChainReader& r) {
-  UnlockRequest v;
-  v.name = r.read_string();
-  v.lock_id = r.read_u64();
-  return v;
-}
-
-// --- StaticGetRequest / StaticPutRequest -----------------------------------------------
-
-serial::Buffer StaticGetRequest::encode() const {
-  serial::Writer w;
-  w.write_string(class_name);
-  w.write_string(key);
-  return w.take();
-}
-
-StaticGetRequest StaticGetRequest::decode(serial::ChainReader& r) {
-  StaticGetRequest v;
-  v.class_name = r.read_string();
-  v.key = r.read_string();
-  return v;
-}
-
-serial::BufferChain StaticPutRequest::encode() const {
-  serial::ChainWriter w;
-  w.write_string(class_name);
-  w.write_string(key);
-  w.append_payload(value);
-  return w.take();
-}
-
-StaticPutRequest StaticPutRequest::decode(serial::ChainReader& r) {
-  StaticPutRequest v;
-  v.class_name = r.read_string();
-  v.key = r.read_string();
-  v.value = r.read_bytes();
-  return v;
-}
-
-// --- ExecRequest ----------------------------------------------------------------------
-
-serial::BufferChain ExecRequest::encode() const {
-  serial::ChainWriter w;
-  w.write_string(class_name);
-  w.write_string(object_name);
-  w.write_string(method);
-  w.append_payload(args);
-  put_node(w, class_source);
-  return w.take();
-}
-
-ExecRequest ExecRequest::decode(serial::ChainReader& r) {
-  ExecRequest v;
-  v.class_name = r.read_string();
-  v.object_name = r.read_string();
-  v.method = r.read_string();
-  v.args = r.read_bytes();
-  v.class_source = get_node(r);
-  return v;
-}
-
-// --- DiscoverRequest / DiscoverReply ---------------------------------------------------
-
-serial::Buffer DiscoverRequest::encode() const {
-  serial::Writer w;
-  w.write_string(kind);
-  return w.take();
-}
-
-DiscoverRequest DiscoverRequest::decode(serial::ChainReader& r) {
-  return DiscoverRequest{r.read_string()};
-}
-
-serial::Buffer DiscoverReply::encode() const {
-  serial::Writer w;
-  w.write_bool(offers);
-  w.write_f64(capacity);
-  return w.take();
-}
-
-DiscoverReply DiscoverReply::decode(serial::ChainReader& r) {
-  DiscoverReply v;
-  v.offers = r.read_bool();
-  v.capacity = r.read_f64();
-  return v;
-}
-
-// --- replicated directory & election ----------------------------------------------------
-
-serial::Buffer VoteRequest::encode() const {
-  serial::Writer w;
-  w.write_u64(term);
-  put_node(w, candidate);
-  return w.take();
-}
-
-VoteRequest VoteRequest::decode(serial::ChainReader& r) {
-  VoteRequest v;
-  v.term = r.read_u64();
-  v.candidate = get_node(r);
-  return v;
-}
-
-serial::Buffer VoteReply::encode() const {
-  serial::Writer w;
-  w.write_u64(term);
-  w.write_bool(granted);
-  return w.take();
-}
-
-VoteReply VoteReply::decode(serial::ChainReader& r) {
-  VoteReply v;
-  v.term = r.read_u64();
-  v.granted = r.read_bool();
-  return v;
-}
-
-serial::Buffer HeartbeatRequest::encode() const {
-  serial::Writer w;
-  w.write_u64(term);
-  put_node(w, leader);
-  return w.take();
-}
-
-HeartbeatRequest HeartbeatRequest::decode(serial::ChainReader& r) {
-  HeartbeatRequest v;
-  v.term = r.read_u64();
-  v.leader = get_node(r);
-  return v;
-}
-
-serial::Buffer HeartbeatReply::encode() const {
-  serial::Writer w;
-  w.write_u64(term);
-  w.write_bool(ok);
-  return w.take();
-}
-
-HeartbeatReply HeartbeatReply::decode(serial::ChainReader& r) {
-  HeartbeatReply v;
-  v.term = r.read_u64();
-  v.ok = r.read_bool();
-  return v;
-}
-
-void put_record(serial::Writer& w, const PlacementRecord& rec) {
-  w.write_string(rec.name);
-  w.write_string(rec.class_name);
-  put_node(w, rec.host);
-  w.write_bool(rec.is_public);
-  w.write_u64(rec.epoch);
-}
-
-PlacementRecord get_record(serial::ChainReader& r) {
-  PlacementRecord rec;
-  rec.name = r.read_string();
-  rec.class_name = r.read_string();
-  rec.host = get_node(r);
-  rec.is_public = r.read_bool();
-  rec.epoch = r.read_u64();
-  return rec;
-}
-
-serial::Buffer DirAnnounceRequest::encode() const {
-  serial::Writer w;
-  put_record(w, record);
-  return w.take();
-}
-
-DirAnnounceRequest DirAnnounceRequest::decode(serial::ChainReader& r) {
-  return DirAnnounceRequest{get_record(r)};
-}
-
-serial::Buffer DirAnnounceReply::encode() const {
-  serial::Writer w;
-  w.write_u8(static_cast<std::uint8_t>(status));
-  put_node(w, leader);
-  w.write_u64(epoch);
-  w.write_string(error);
-  return w.take();
-}
-
-DirAnnounceReply DirAnnounceReply::decode(serial::ChainReader& r) {
-  DirAnnounceReply v;
-  v.status = static_cast<Status>(r.read_u8());
-  v.leader = get_node(r);
-  v.epoch = r.read_u64();
-  v.error = r.read_string();
-  return v;
-}
-
-serial::Buffer DirResolveRequest::encode() const {
-  serial::Writer w;
-  w.write_string(name);
-  return w.take();
-}
-
-DirResolveRequest DirResolveRequest::decode(serial::ChainReader& r) {
-  return DirResolveRequest{r.read_string()};
-}
-
-serial::Buffer DirResolveReply::encode() const {
-  serial::Writer w;
-  w.write_u8(static_cast<std::uint8_t>(status));
-  put_node(w, host);
-  w.write_u64(epoch);
-  put_node(w, leader);
-  w.write_string(error);
-  return w.take();
-}
-
-DirResolveReply DirResolveReply::decode(serial::ChainReader& r) {
-  DirResolveReply v;
-  v.status = static_cast<Status>(r.read_u8());
-  v.host = get_node(r);
-  v.epoch = r.read_u64();
-  v.leader = get_node(r);
-  v.error = r.read_string();
-  return v;
-}
-
-// --- ManifestRequest / ManifestReply ------------------------------------------------
-
-serial::Buffer ManifestRequest::encode() const {
-  serial::Writer w;
-  w.write_string(prefix);
-  return w.take();
-}
-
-ManifestRequest ManifestRequest::decode(serial::ChainReader& r) {
-  return ManifestRequest{r.read_string()};
-}
-
-serial::Buffer ManifestReply::encode() const {
-  serial::Writer w;
-  w.write_u32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& [name, epoch] : entries) {
-    w.write_string(name);
-    w.write_u64(epoch);
-  }
-  return w.take();
-}
-
-ManifestReply ManifestReply::decode(serial::ChainReader& r) {
-  ManifestReply v;
-  const std::uint32_t n = r.read_u32();
-  v.entries.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name = r.read_string();
-    const std::uint64_t epoch = r.read_u64();
-    v.entries.emplace_back(std::move(name), epoch);
-  }
-  return v;
-}
-
-// --- LoadReply ------------------------------------------------------------------------
-
-serial::Buffer LoadReply::encode() const {
-  serial::Writer w;
-  w.write_f64(load);
-  return w.take();
-}
-
-LoadReply LoadReply::decode(serial::ChainReader& r) {
-  return LoadReply{r.read_f64()};
+  r.skip(code_size);
 }
 
 }  // namespace mage::rts::proto

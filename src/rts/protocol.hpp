@@ -6,24 +6,32 @@
 // chains (4.1), class shipping and object migration (4.2, 4.3/Figure 7),
 // invocation, and lock requests (4.4/Figure 8).
 //
-// Encoding: small field-only structs build one serial::Buffer through a
-// Writer.  Structs that carry a pre-serialized payload (invocation args,
-// migrating object state, results, static values) encode to a
-// serial::BufferChain through a ChainWriter: the payload rides as its own
-// fragment by refcount instead of being copied into the body at encode
-// time.  The logical byte stream is identical either way (the chain just
-// fragments it), so every struct decodes through one ChainReader-based
-// implementation; decode() overloads accept a flat Buffer (tests, tools)
-// or the BufferChain a service receives.  docs/WIRE_FORMAT.md records the
-// byte-level layouts.
+// Encoding: each struct lists its fields once, in wire order, with
+// MAGE_PROTO_FIELDS; one encode and one decode template (namespace codec)
+// walk that list.  The encoding is untagged: a field is its bare
+// little-endian value (u8-backed enums, bool, u32/NodeId, u64, f64), a
+// u32-length-prefixed string or byte block, a u32 count followed by the
+// entries, or a nested struct's own field list.  A struct with a
+// serial::Buffer field (invocation args, migrating object state, results,
+// static values) encodes to a serial::BufferChain through a ChainWriter, so
+// the payload rides as its own fragment by refcount instead of being copied
+// into the body; every other struct encodes to one flat serial::Buffer.
+// The logical byte stream is identical either way, so decode() accepts a
+// ChainReader, a flat Buffer (tests, tools) or the BufferChain a service
+// receives.  Decode is bounds-checked: truncation, an out-of-range enum or
+// a count the remaining bytes cannot hold raises SerializationError.
+// docs/WIRE_FORMAT.md records the byte-level layouts; each of its table
+// rows is one struct's field list.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/ids.hpp"
 #include "common/verb.hpp"
 #include "rts/lock_manager.hpp"
@@ -90,22 +98,146 @@ enum class Status : std::uint8_t {
 
 [[nodiscard]] const char* status_name(Status s);
 
-void put_node(serial::Writer& w, common::NodeId n);
-void put_node(serial::ChainWriter& w, common::NodeId n);
-[[nodiscard]] common::NodeId get_node(serial::ChainReader& r);
+// --- field-list codec -----------------------------------------------------
 
-// Every struct's decode is implemented once over a ChainReader; these two
-// wrappers let call sites hand in either form the bytes arrive as.
-#define MAGE_PROTO_DECODE(T)                                   \
-  static T decode(serial::ChainReader& r);                     \
-  static T decode(const serial::Buffer& bytes) {               \
-    serial::ChainReader r(bytes);                              \
-    return decode(r);                                          \
-  }                                                            \
-  static T decode(const serial::BufferChain& body) {           \
-    serial::ChainReader r(body);                               \
-    return decode(r);                                          \
+// Largest valid value of each u8-backed enum; decode rejects anything above.
+template <typename E>
+inline constexpr std::uint8_t kEnumMax = 0;
+template <>
+inline constexpr std::uint8_t kEnumMax<Status> = 3;
+template <>
+inline constexpr std::uint8_t kEnumMax<LockKind> = 1;
+
+// ManifestReply's (component name, placement epoch) entries.
+using ManifestEntries =
+    std::vector<std::pair<common::ComponentName, std::uint64_t>>;
+
+namespace codec {
+
+template <typename W, typename T>
+void put(W& w, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w.write_bool(v);
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    w.write_u32(v);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    w.write_u64(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.write_f64(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.write_string(v);
+  } else if constexpr (std::is_same_v<T, common::NodeId>) {
+    w.write_u32(v.value());
+  } else if constexpr (std::is_enum_v<T>) {
+    w.write_u8(static_cast<std::uint8_t>(v));
+  } else if constexpr (std::is_same_v<T, serial::Buffer>) {
+    w.append_payload(v);  // zero-copy fragment
+  } else if constexpr (std::is_same_v<T, ManifestEntries>) {
+    w.write_u32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& [name, epoch] : v) {
+      w.write_string(name);
+      w.write_u64(epoch);
+    }
+  } else if constexpr (requires { v.fields(); }) {
+    std::apply([&w](const auto&... f) { (codec::put(w, f), ...); },
+               v.fields());
+  } else {
+    v.put_fields(w);  // hand-written layout (ClassImage's filler)
   }
+}
+
+template <typename T>
+void get(serial::ChainReader& r, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = r.read_bool();
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    v = r.read_u32();
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    v = r.read_u64();
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = r.read_f64();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = r.read_string();
+  } else if constexpr (std::is_same_v<T, common::NodeId>) {
+    v = common::NodeId{r.read_u32()};
+  } else if constexpr (std::is_enum_v<T>) {
+    const std::uint8_t raw = r.read_u8();
+    if (raw > kEnumMax<T>) {
+      throw common::SerializationError("enum value " + std::to_string(raw) +
+                                       " out of range");
+    }
+    v = static_cast<T>(raw);
+  } else if constexpr (std::is_same_v<T, serial::Buffer>) {
+    v = r.read_bytes();
+  } else if constexpr (std::is_same_v<T, ManifestEntries>) {
+    const std::uint32_t n = r.read_u32();
+    // An entry is at least 12 bytes (empty name, epoch): reject a count the
+    // remaining bytes cannot hold before reserving for it.
+    if (n > r.remaining() / 12) {
+      throw common::SerializationError(
+          "count " + std::to_string(n) + " exceeds the " +
+          std::to_string(r.remaining()) + " bytes that remain");
+    }
+    v.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::string name = r.read_string();
+      v.emplace_back(std::move(name), r.read_u64());
+    }
+  } else if constexpr (requires { v.fields(); }) {
+    std::apply([&r](auto&... f) { (codec::get(r, f), ...); }, v.fields());
+  } else {
+    v.get_fields(r);  // hand-written layout (ClassImage's filler)
+  }
+}
+
+// A struct with a Buffer field encodes to a chain (payload by refcount);
+// every other struct to one flat Buffer.
+template <typename T>
+constexpr bool has_payload() {
+  if constexpr (requires(const T& v) { v.fields(); }) {
+    return []<typename... F>(std::tuple<F...>*) {
+      return (std::is_same_v<std::remove_cvref_t<F>, serial::Buffer> || ...);
+    }(static_cast<decltype(std::declval<const T&>().fields())*>(nullptr));
+  } else {
+    return false;
+  }
+}
+
+template <typename T>
+auto encode(const T& v) {
+  std::conditional_t<has_payload<T>(), serial::ChainWriter, serial::Writer> w;
+  codec::put(w, v);
+  return w.take();
+}
+
+template <typename T>
+T decode(serial::ChainReader& r) {
+  T v;
+  codec::get(r, v);
+  return v;
+}
+
+}  // namespace codec
+
+// encode() plus the three decode() forms: a ChainReader, a flat Buffer, or
+// the BufferChain a service receives.
+#define MAGE_PROTO_CODEC(T)                                          \
+  [[nodiscard]] auto encode() const { return codec::encode(*this); } \
+  static T decode(serial::ChainReader& r) { return codec::decode<T>(r); } \
+  static T decode(const serial::Buffer& bytes) {                     \
+    serial::ChainReader r(bytes);                                    \
+    return decode(r);                                                \
+  }                                                                  \
+  static T decode(const serial::BufferChain& body) {                 \
+    serial::ChainReader r(body);                                     \
+    return decode(r);                                                \
+  }
+
+// The struct's wire layout: its fields, in wire order.
+#define MAGE_PROTO_FIELDS(T, ...)                                  \
+  auto fields() { return std::tie(__VA_ARGS__); }                  \
+  auto fields() const { return std::tie(__VA_ARGS__); }            \
+  MAGE_PROTO_CODEC(T)
 
 // --- registry lookup ---------------------------------------------------
 
@@ -118,8 +250,7 @@ struct LookupRequest {
   // fence (legacy callers).
   std::uint64_t min_epoch = 0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(LookupRequest)
+  MAGE_PROTO_FIELDS(LookupRequest, name, hops, min_epoch)
 };
 
 struct LookupReply {
@@ -129,8 +260,7 @@ struct LookupReply {
   // Placement epoch of `host` (see LookupRequest::min_epoch); 0 = unknown.
   std::uint64_t epoch = 0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(LookupReply)
+  MAGE_PROTO_FIELDS(LookupReply, status, host, error, epoch)
 };
 
 // --- class shipping ------------------------------------------------------
@@ -138,22 +268,19 @@ struct LookupReply {
 struct ClassCheckRequest {
   std::string class_name;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(ClassCheckRequest)
+  MAGE_PROTO_FIELDS(ClassCheckRequest, class_name)
 };
 
 struct ClassCheckReply {
   bool cached = false;  // does the queried node hold the class image?
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(ClassCheckReply)
+  MAGE_PROTO_FIELDS(ClassCheckReply, cached)
 };
 
 struct FetchClassRequest {
   std::string class_name;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(FetchClassRequest)
+  MAGE_PROTO_FIELDS(FetchClassRequest, class_name)
 };
 
 // The class image: name + simulated code bytes (filler sized to the
@@ -162,16 +289,18 @@ struct ClassImage {
   std::string class_name;
   std::uint32_t code_size = 0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(ClassImage)
+  // Hand-written layout: u32 code_size is followed by code_size filler
+  // bytes, reserved up front so the image builds in one allocation.
+  void put_fields(serial::Writer& w) const;
+  void get_fields(serial::ChainReader& r);
+  MAGE_PROTO_CODEC(ClassImage)
 };
 
 // Push-style class load (REV/MA push the class toward the target).
 struct LoadClassRequest {
   ClassImage image;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(LoadClassRequest)
+  MAGE_PROTO_FIELDS(LoadClassRequest, image)
 };
 
 // --- instantiation (class-bound REV/COD act as object factories) -----------
@@ -183,8 +312,8 @@ struct InstantiateRequest {
   // Node able to serve the class image if the target lacks it.
   common::NodeId class_source = common::kNoNode;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(InstantiateRequest)
+  MAGE_PROTO_FIELDS(InstantiateRequest, class_name, object_name, is_public,
+                    class_source)
 };
 
 struct SimpleReply {
@@ -196,8 +325,7 @@ struct SimpleReply {
   // object's epoch).  0 = unfenced.
   std::uint64_t hint_epoch = 0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(SimpleReply)
+  MAGE_PROTO_FIELDS(SimpleReply, status, hint, error, hint_epoch)
 };
 
 // --- migration (Figure 7) ---------------------------------------------------
@@ -206,8 +334,7 @@ struct MoveRequest {
   common::ComponentName name;
   common::NodeId to = common::kNoNode;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(MoveRequest)
+  MAGE_PROTO_FIELDS(MoveRequest, name, to)
 };
 
 struct TransferRequest {
@@ -219,9 +346,7 @@ struct TransferRequest {
   std::uint64_t epoch = 0;
   serial::Buffer state;  // weakly migrated heap state
 
-  // Scatter-gather: `state` rides as its own fragment, uncopied.
-  [[nodiscard]] serial::BufferChain encode() const;
-  MAGE_PROTO_DECODE(TransferRequest)
+  MAGE_PROTO_FIELDS(TransferRequest, name, class_name, is_public, epoch, state)
 };
 
 // --- invocation ---------------------------------------------------------
@@ -231,9 +356,7 @@ struct InvokeRequest {
   std::string method;
   serial::Buffer args;
 
-  // Scatter-gather: `args` rides as its own fragment, uncopied.
-  [[nodiscard]] serial::BufferChain encode() const;
-  MAGE_PROTO_DECODE(InvokeRequest)
+  MAGE_PROTO_FIELDS(InvokeRequest, name, method, args)
 };
 
 struct InvokeReply {
@@ -243,16 +366,13 @@ struct InvokeReply {
   std::uint64_t hint_epoch = 0;           // placement epoch backing `hint`
   serial::Buffer result;                  // valid when Ok
 
-  // Scatter-gather: `result` rides as its own fragment, uncopied.
-  [[nodiscard]] serial::BufferChain encode() const;
-  MAGE_PROTO_DECODE(InvokeReply)
+  MAGE_PROTO_FIELDS(InvokeReply, status, hint, error, hint_epoch, result)
 };
 
 struct FetchResultRequest {
   common::ComponentName name;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(FetchResultRequest)
+  MAGE_PROTO_FIELDS(FetchResultRequest, name)
 };
 
 // --- locking -------------------------------------------------------------
@@ -262,8 +382,7 @@ struct LockRequest {
   common::NodeId target = common::kNoNode;  // the attribute's target
   std::uint64_t activity = 0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(LockRequest)
+  MAGE_PROTO_FIELDS(LockRequest, name, target, activity)
 };
 
 struct LockReply {
@@ -274,16 +393,14 @@ struct LockReply {
   std::string error;
   std::uint64_t hint_epoch = 0;           // placement epoch backing `hint`
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(LockReply)
+  MAGE_PROTO_FIELDS(LockReply, status, hint, lock_id, kind, error, hint_epoch)
 };
 
 struct UnlockRequest {
   common::ComponentName name;
   std::uint64_t lock_id = 0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(UnlockRequest)
+  MAGE_PROTO_FIELDS(UnlockRequest, name, lock_id)
 };
 
 // --- class statics ------------------------------------------------------------
@@ -292,8 +409,7 @@ struct StaticGetRequest {
   std::string class_name;
   std::string key;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(StaticGetRequest)
+  MAGE_PROTO_FIELDS(StaticGetRequest, class_name, key)
 };
 
 struct StaticPutRequest {
@@ -301,9 +417,7 @@ struct StaticPutRequest {
   std::string key;
   serial::Buffer value;
 
-  // Scatter-gather: `value` rides as its own fragment, uncopied.
-  [[nodiscard]] serial::BufferChain encode() const;
-  MAGE_PROTO_DECODE(StaticPutRequest)
+  MAGE_PROTO_FIELDS(StaticPutRequest, class_name, key, value)
 };
 
 // --- condensed remote evaluation --------------------------------------------------
@@ -315,10 +429,9 @@ struct ExecRequest {
   serial::Buffer args;
   common::NodeId class_source = common::kNoNode;
 
-  // Scatter-gather: `args` rides as its own fragment, uncopied (the
-  // class_source field follows in a trailing fragment).
-  [[nodiscard]] serial::BufferChain encode() const;
-  MAGE_PROTO_DECODE(ExecRequest)
+  // `args` rides as its own fragment; class_source follows in a third.
+  MAGE_PROTO_FIELDS(ExecRequest, class_name, object_name, method, args,
+                    class_source)
 };
 
 // --- resource discovery ---------------------------------------------------------
@@ -326,16 +439,14 @@ struct ExecRequest {
 struct DiscoverRequest {
   std::string kind;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(DiscoverRequest)
+  MAGE_PROTO_FIELDS(DiscoverRequest, kind)
 };
 
 struct DiscoverReply {
   bool offers = false;
   double capacity = 0.0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(DiscoverReply)
+  MAGE_PROTO_FIELDS(DiscoverReply, offers, capacity)
 };
 
 // --- replicated directory & election ----------------------------------------
@@ -348,32 +459,28 @@ struct VoteRequest {
   std::uint64_t term = 0;
   common::NodeId candidate = common::kNoNode;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(VoteRequest)
+  MAGE_PROTO_FIELDS(VoteRequest, term, candidate)
 };
 
 struct VoteReply {
   std::uint64_t term = 0;
   bool granted = false;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(VoteReply)
+  MAGE_PROTO_FIELDS(VoteReply, term, granted)
 };
 
 struct HeartbeatRequest {
   std::uint64_t term = 0;
   common::NodeId leader = common::kNoNode;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(HeartbeatRequest)
+  MAGE_PROTO_FIELDS(HeartbeatRequest, term, leader)
 };
 
 struct HeartbeatReply {
   std::uint64_t term = 0;
   bool ok = false;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(HeartbeatReply)
+  MAGE_PROTO_FIELDS(HeartbeatReply, term, ok)
 };
 
 // One replicated placement fact: where `name` lives as of `epoch`.
@@ -383,18 +490,16 @@ struct PlacementRecord {
   common::NodeId host = common::kNoNode;
   bool is_public = false;
   std::uint64_t epoch = 0;
-};
 
-void put_record(serial::Writer& w, const PlacementRecord& rec);
-[[nodiscard]] PlacementRecord get_record(serial::ChainReader& r);
+  MAGE_PROTO_FIELDS(PlacementRecord, name, class_name, host, is_public, epoch)
+};
 
 // kDirAnnounce (leader-only; followers answer Moved + leader hint) and
 // kDirReplicate (leader -> follower fan-out) share this body.
 struct DirAnnounceRequest {
   PlacementRecord record;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(DirAnnounceRequest)
+  MAGE_PROTO_FIELDS(DirAnnounceRequest, record)
 };
 
 struct DirAnnounceReply {
@@ -403,15 +508,13 @@ struct DirAnnounceReply {
   std::uint64_t epoch = 0;                  // epoch stored, when Ok
   std::string error;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(DirAnnounceReply)
+  MAGE_PROTO_FIELDS(DirAnnounceReply, status, leader, epoch, error)
 };
 
 struct DirResolveRequest {
   common::ComponentName name;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(DirResolveRequest)
+  MAGE_PROTO_FIELDS(DirResolveRequest, name)
 };
 
 struct DirResolveReply {
@@ -421,8 +524,7 @@ struct DirResolveReply {
   common::NodeId leader = common::kNoNode;  // best-known leader (any status)
   std::string error;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(DirResolveReply)
+  MAGE_PROTO_FIELDS(DirResolveReply, status, host, epoch, leader, error)
 };
 
 // --- partition manifests (distributed collections) ---------------------------
@@ -434,16 +536,14 @@ struct DirResolveReply {
 struct ManifestRequest {
   std::string prefix;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(ManifestRequest)
+  MAGE_PROTO_FIELDS(ManifestRequest, prefix)
 };
 
 struct ManifestReply {
   // (component name, placement epoch), in registry (lexicographic) order.
-  std::vector<std::pair<common::ComponentName, std::uint64_t>> entries;
+  ManifestEntries entries;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(ManifestReply)
+  MAGE_PROTO_FIELDS(ManifestReply, entries)
 };
 
 // --- misc ------------------------------------------------------------------
@@ -451,10 +551,10 @@ struct ManifestReply {
 struct LoadReply {
   double load = 0.0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(LoadReply)
+  MAGE_PROTO_FIELDS(LoadReply, load)
 };
 
-#undef MAGE_PROTO_DECODE
+#undef MAGE_PROTO_FIELDS
+#undef MAGE_PROTO_CODEC
 
 }  // namespace mage::rts::proto

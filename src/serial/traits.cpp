@@ -46,4 +46,14 @@ void expect_tag(Reader& r, WireTag expected) {
   }
 }
 
+std::uint32_t read_count(Reader& r) {
+  const std::uint32_t n = r.read_u32();
+  if (n > r.remaining()) {
+    throw common::SerializationError(
+        "count " + std::to_string(n) + " exceeds the " +
+        std::to_string(r.remaining()) + " bytes that remain");
+  }
+  return n;
+}
+
 }  // namespace mage::serial::detail

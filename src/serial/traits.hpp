@@ -46,6 +46,11 @@ inline void put_tag(Writer& w, WireTag tag) {
 
 void expect_tag(Reader& r, WireTag expected);
 
+// Reads a u32 element count and rejects one the remaining bytes cannot
+// hold (every element carries at least its one-byte tag), so a corrupt
+// count raises SerializationError before anything is reserved.
+std::uint32_t read_count(Reader& r);
+
 }  // namespace detail
 
 template <typename T>
@@ -164,7 +169,7 @@ struct Codec<std::vector<T>> {
   }
   static std::vector<T> get(Reader& r) {
     detail::expect_tag(r, WireTag::Vec);
-    const std::uint32_t n = r.read_u32();
+    const std::uint32_t n = detail::read_count(r);
     std::vector<T> out;
     out.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) out.push_back(Codec<T>::get(r));
@@ -213,7 +218,7 @@ struct Codec<std::map<K, V>> {
   }
   static std::map<K, V> get(Reader& r) {
     detail::expect_tag(r, WireTag::Map);
-    const std::uint32_t n = r.read_u32();
+    const std::uint32_t n = detail::read_count(r);
     std::map<K, V> out;
     for (std::uint32_t i = 0; i < n; ++i) {
       K k = Codec<K>::get(r);

@@ -154,6 +154,16 @@ TEST(BatchFraming, SingleEnvelopeBatchRoundTrips) {
   }
 }
 
+// The 5-byte frame `03 ff ff ff ff` declares 2^32-1 sub-envelopes; it must
+// raise SerializationError before reserving for them, not std::bad_alloc.
+TEST(BatchFraming, HostileCountThrowsSerializationError) {
+  serial::Writer w;
+  w.write_u8(rmi::kBatchTag);
+  w.write_u32(0xFFFFFFFFu);
+  EXPECT_THROW((void)Envelope::decode_batch(w.take()),
+               common::SerializationError);
+}
+
 TEST(BatchFraming, RejectsMalformedFrames) {
   // A batch frame where a single envelope is expected.
   const serial::Buffer batch = Envelope::encode_batch({});

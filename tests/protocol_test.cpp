@@ -9,6 +9,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/rng.hpp"
 #include "rts/protocol.hpp"
 
 namespace mage::rts::proto {
@@ -245,10 +247,10 @@ TEST(Protocol, StatusNames) {
 }
 
 TEST(Protocol, NodeCodecSentinel) {
-  serial::Writer w;
-  put_node(w, common::kNoNode);
-  serial::ChainReader r(w.take());
-  EXPECT_TRUE(common::is_no_node(get_node(r)));
+  MoveRequest v;
+  v.name = "obj";
+  v.to = common::kNoNode;
+  EXPECT_TRUE(common::is_no_node(MoveRequest::decode(v.encode()).to));
 }
 
 TEST(Protocol, NamesWithUnicodeAndNulls) {
@@ -391,6 +393,113 @@ TEST(ProtocolPinned, EveryPinnedEncodingDecodesToTheSameValue) {
   for (const auto& c : pinned_cases()) {
     SCOPED_TRACE(c.name);
     EXPECT_EQ(to_hex(c.reencode(serial::BufferChain(c.bytes))), c.hex);
+  }
+}
+
+// --- hostile input ------------------------------------------------------------
+
+std::vector<std::uint8_t> bytes_of(const serial::BufferChain& body) {
+  const serial::Buffer flat = body.flatten();
+  return {flat.begin(), flat.end()};
+}
+
+serial::Buffer buffer_of(std::vector<std::uint8_t> bytes) {
+  return serial::Buffer(std::move(bytes));
+}
+
+TEST(ProtocolHostile, ManifestCountBeyondTheBodyThrows) {
+  // ff ff ff ff: 2^32-1 entries declared, none follow.
+  EXPECT_THROW((void)ManifestReply::decode(serial::Buffer({0xff, 0xff, 0xff,
+                                                           0xff})),
+               common::SerializationError);
+  // Two entries declared, one present.
+  auto bytes = bytes_of(ManifestReply{{{"part/0", 25}}}.encode());
+  bytes[0] = 2;
+  EXPECT_THROW((void)ManifestReply::decode(buffer_of(bytes)),
+               common::SerializationError);
+}
+
+TEST(ProtocolHostile, OutOfRangeEnumsThrow) {
+  // status byte 07: Status ends at Error = 3.
+  auto reply =
+      bytes_of(SimpleReply{Status::Error, common::NodeId{1}, "e", 2}.encode());
+  for (const std::uint8_t status : {4, 7, 255}) {
+    reply[0] = status;
+    EXPECT_THROW((void)SimpleReply::decode(buffer_of(reply)),
+                 common::SerializationError);
+  }
+  reply[0] = 3;
+  EXPECT_EQ(SimpleReply::decode(buffer_of(reply)).status, Status::Error);
+
+  // LockKind ends at Move = 1; its byte follows status(1) hint(4) lock_id(8).
+  auto lock = bytes_of(
+      LockReply{Status::Ok, common::NodeId{1}, 9, LockKind::Move, "", 0}
+          .encode());
+  lock[13] = 2;
+  EXPECT_THROW((void)LockReply::decode(buffer_of(lock)),
+               common::SerializationError);
+  lock[13] = 1;
+  EXPECT_EQ(LockReply::decode(buffer_of(lock)).kind, LockKind::Move);
+}
+
+// Every decoder, fed mutations of its pinned encoding, either returns or
+// throws SerializationError: never another exception, never an abort.
+// Mutations: truncation at every length, every single-bit flip, each
+// 4-byte window overwritten with a hostile u32 (so every length prefix and
+// count is inflated), and seeded random byte scribbles.  Each mutant is
+// decoded both flat and split across two fragments (the gather path).
+void expect_contained(const PinnedCase& c,
+                      const std::vector<std::uint8_t>& bytes,
+                      const char* mutation, std::size_t at) {
+  const serial::Buffer flat = buffer_of(bytes);
+  serial::BufferChain split;
+  split.append(flat.slice(0, bytes.size() / 2));
+  split.append(flat.slice(bytes.size() / 2, bytes.size() - bytes.size() / 2));
+  for (const serial::BufferChain& body : {serial::BufferChain(flat), split}) {
+    try {
+      (void)c.reencode(body);
+    } catch (const common::SerializationError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << c.name << ": " << mutation << " at " << at
+                    << " threw a non-SerializationError: " << e.what();
+    }
+  }
+}
+
+TEST(ProtocolFuzz, EveryDecoderContainsMutatedInput) {
+  common::Rng rng(0xF022);
+  for (const auto& c : pinned_cases()) {
+    const std::vector<std::uint8_t> good = bytes_of(c.bytes);
+    for (std::size_t len = 0; len < good.size(); ++len) {
+      expect_contained(
+          c, std::vector<std::uint8_t>(good.begin(), good.begin() + len),
+          "truncation", len);
+    }
+    for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+      auto bytes = good;
+      bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      expect_contained(c, bytes, "bit flip", bit);
+    }
+    for (std::size_t at = 0; at + 4 <= good.size(); ++at) {
+      for (const std::uint32_t hostile :
+           {0xFFFFFFFFu, 0x7FFFFFFFu, 0x10000u,
+            static_cast<std::uint32_t>(good.size())}) {
+        auto bytes = good;
+        for (std::size_t i = 0; i < 4; ++i) {
+          bytes[at + i] = static_cast<std::uint8_t>(hostile >> (8 * i));
+        }
+        expect_contained(c, bytes, "inflated u32", at);
+      }
+    }
+    for (int round = 0; round < 64; ++round) {
+      auto bytes = good;
+      const auto scribbles = 1 + rng.next_below(4);
+      for (std::uint64_t i = 0; i < scribbles && !bytes.empty(); ++i) {
+        bytes[rng.next_below(bytes.size())] =
+            static_cast<std::uint8_t>(rng.next());
+      }
+      expect_contained(c, bytes, "scribble round", round);
+    }
   }
 }
 

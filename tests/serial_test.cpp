@@ -157,6 +157,25 @@ TEST(Codec, NestedVector) {
   EXPECT_EQ(round_trip(v), v);
 }
 
+// A count no remaining bytes could hold is corrupt: it must raise
+// SerializationError before anything is reserved, not std::bad_alloc.
+TEST(Codec, HostileCountsThrowSerializationError) {
+  for (const WireTag tag : {WireTag::Vec, WireTag::Map}) {
+    Writer w;
+    w.write_u8(static_cast<std::uint8_t>(tag));
+    w.write_u32(0xFFFFFFFFu);
+    const Buffer bytes = w.take();
+    Reader r(bytes);
+    if (tag == WireTag::Vec) {
+      EXPECT_THROW((void)get<std::vector<std::int64_t>>(r),
+                   common::SerializationError);
+    } else {
+      EXPECT_THROW((void)(get<std::map<std::int64_t, std::int64_t>>(r)),
+                   common::SerializationError);
+    }
+  }
+}
+
 TEST(Codec, Pair) {
   std::pair<std::string, std::int64_t> p{"k", 9};
   EXPECT_EQ(round_trip(p), p);
