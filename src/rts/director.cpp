@@ -134,12 +134,7 @@ void Director::handle_replicate(common::NodeId /*caller*/,
 DirectoryClient::DirectoryClient(rmi::Transport& transport,
                                  std::vector<common::NodeId> directors,
                                  rmi::CallPolicy policy)
-    : transport_(transport),
-      channel_(transport, std::move(directors), policy) {}
-
-sim::Simulation& DirectoryClient::sim() {
-  return transport_.network().node_sim(transport_.self());
-}
+    : channel_(transport, std::move(directors), policy) {}
 
 void DirectoryClient::resolve(
     const common::ComponentName& name,
@@ -196,29 +191,6 @@ void DirectoryClient::announce(const proto::PlacementRecord& record,
         const auto reply = proto::DirAnnounceReply::decode(result.body);
         done(reply.status == proto::Status::Ok);
       });
-}
-
-std::optional<DirectoryClient::Resolution> DirectoryClient::resolve_sync(
-    const common::ComponentName& name) {
-  bool settled = false;
-  std::optional<Resolution> resolution;
-  resolve(name, [&](std::optional<Resolution> r) {
-    resolution = r;
-    settled = true;
-  });
-  sim().run_until([&] { return settled; });
-  return resolution;
-}
-
-bool DirectoryClient::announce_sync(const proto::PlacementRecord& record) {
-  bool settled = false;
-  bool accepted = false;
-  announce(record, [&](bool ok) {
-    accepted = ok;
-    settled = true;
-  });
-  sim().run_until([&] { return settled; });
-  return accepted;
 }
 
 }  // namespace mage::rts

@@ -111,11 +111,6 @@ class DirectoryClient {
   void announce(const proto::PlacementRecord& record,
                 std::function<void(bool)> done);
 
-  // Synchronous variants for driver-side code (run the event loop until
-  // the group call completes; usable only where call_sync is).
-  std::optional<Resolution> resolve_sync(const common::ComponentName& name);
-  bool announce_sync(const proto::PlacementRecord& record);
-
   [[nodiscard]] common::NodeId known_leader() const {
     return channel_.preferred();
   }
@@ -127,9 +122,6 @@ class DirectoryClient {
   }
 
  private:
-  [[nodiscard]] sim::Simulation& sim();
-
-  rmi::Transport& transport_;
   rmi::FailoverChannel channel_;
 };
 

@@ -1,5 +1,6 @@
 #include "rts/dist/rebalancer.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace mage::rts::dist {
@@ -23,7 +24,10 @@ Rebalancer::Rebalancer(net::Network& net, AsyncClient& prober,
 sim::Simulation& Rebalancer::sim() { return mover_.simulation(); }
 
 void Rebalancer::start() {
-  sim().schedule_at(config_.start_at_us, [this] { tick(); }, sim::Wake::No);
+  // A start time already past (the default 0, once the simulation has run)
+  // means "now".
+  sim().schedule_at(std::max(config_.start_at_us, sim().now()),
+                    [this] { tick(); }, sim::Wake::No);
 }
 
 void Rebalancer::reschedule() {

@@ -39,7 +39,7 @@ class Rebalancer {
     // are eligible (use partition_prefix(base) for one collection).
     std::string prefix;
     common::SimDuration tick_us = 10'000;
-    common::SimTime start_at_us = 0;
+    common::SimTime start_at_us = 0;  // first tick; clamped to now()
     // A migration needs: victim load > min_load, and (victim - target)
     // load skew > skew_margin.
     double min_load = 1.0;

@@ -270,9 +270,28 @@ TEST(HaDirectory, ClientFailsOverAcrossALeaderCrash) {
   sim.run_until([&] { return leader_of() != nullptr; }, 60'000);
   ASSERT_NE(leader_of(), nullptr);
 
-  // Announce through the quorum; the leader replicates to followers.
+  // The client's calls are asynchronous; drive the simulation until each
+  // one settles.
   rts::DirectoryClient dclient(*transports[3], members);
-  ASSERT_TRUE(dclient.announce_sync(
+  auto announce = [&](const proto::PlacementRecord& record) {
+    std::optional<bool> accepted;
+    dclient.announce(record, [&](bool ok) { accepted = ok; });
+    sim.run_until([&] { return accepted.has_value(); });
+    return accepted.value_or(false);
+  };
+  auto resolve = [&](const common::ComponentName& name) {
+    bool settled = false;
+    std::optional<rts::DirectoryClient::Resolution> resolution;
+    dclient.resolve(name, [&](std::optional<rts::DirectoryClient::Resolution> r) {
+      resolution = r;
+      settled = true;
+    });
+    sim.run_until([&] { return settled; });
+    return resolution;
+  };
+
+  // Announce through the quorum; the leader replicates to followers.
+  ASSERT_TRUE(announce(
       proto::PlacementRecord{"obj", "Session", ids[3], true, 1}));
   sim.run_for(5'000);  // let replication land
   for (auto& d : directors) {
@@ -287,7 +306,7 @@ TEST(HaDirectory, ClientFailsOverAcrossALeaderCrash) {
   net.set_node_down(old_leader->self(), true);
   dclient.set_preferred(old_leader->self());  // force the sweep to start dead
 
-  const auto resolved = dclient.resolve_sync("obj");
+  const auto resolved = resolve("obj");
   ASSERT_TRUE(resolved.has_value());
   EXPECT_EQ(resolved->host, ids[3]);
   EXPECT_EQ(resolved->epoch, 1u);
@@ -305,9 +324,9 @@ TEST(HaDirectory, ClientFailsOverAcrossALeaderCrash) {
   EXPECT_NE(new_leader, old_leader);
 
   // A fenced write keeps working against the new leader.
-  EXPECT_TRUE(dclient.announce_sync(
+  EXPECT_TRUE(announce(
       proto::PlacementRecord{"obj", "Session", ids[1], true, 2}));
-  const auto moved = dclient.resolve_sync("obj");
+  const auto moved = resolve("obj");
   ASSERT_TRUE(moved.has_value());
   EXPECT_EQ(moved->host, ids[1]);
   EXPECT_EQ(moved->epoch, 2u);
