@@ -17,6 +17,8 @@ gate fails the build when:
     distributed-collections layer (src/rts/dist/) can never opt out —
     partitions and rebalancers are applications of the facade, not
     extensions of the protocol.
+  * an allowlist entry names a file that does not exist (a deleted file
+    must not leave a stale exemption behind).
 
 Usage: python3 ci/check_facade_lint.py [repo-root]
 """
@@ -65,6 +67,15 @@ def main() -> int:
                 )
 
     rts_root = root / "src" / "rts"
+    # A stale exemption (its file deleted or renamed) would silently let a
+    # new file of that name in; every entry must name a file that exists.
+    for entry in sorted(RTS_ALLOWLIST):
+        if not (rts_root / entry).is_file():
+            failures.append(
+                f"ci/check_facade_lint.py: RTS_ALLOWLIST names "
+                f"src/rts/{entry}, which does not exist"
+            )
+
     for path in sorted(rts_root.glob("**/*")):
         if path.suffix not in (".cpp", ".hpp"):
             continue
