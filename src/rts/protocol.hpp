@@ -161,6 +161,7 @@ void get(serial::ChainReader& r, T& v) {
   } else if constexpr (std::is_same_v<T, common::NodeId>) {
     v = common::NodeId{r.read_u32()};
   } else if constexpr (std::is_enum_v<T>) {
+    static_assert(kEnumMax<T> > 0, "specialize kEnumMax for this enum");
     const std::uint8_t raw = r.read_u8();
     if (raw > kEnumMax<T>) {
       throw common::SerializationError("enum value " + std::to_string(raw) +
