@@ -88,7 +88,7 @@ rmi::CallPolicy probe_policy() {
   policy.max_retries = 2;
   policy.backoff_base_us = 2'000;
   policy.backoff_multiplier = 2.0;
-  policy.backoff_jitter = 0.25;  // seeded from node 0's shard RNG
+  policy.backoff_jitter = 0.25;  // drawn from node 0's own stream
   policy.hedge_after_us = 550;
   return policy;
 }

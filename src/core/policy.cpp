@@ -37,8 +37,7 @@ common::NodeId RandomPolicy::select(
   if (candidates.empty()) {
     throw common::MageError("RandomPolicy: no candidates");
   }
-  const auto index =
-      client.simulation().rng().next_below(candidates.size());
+  const auto index = client.rng().next_below(candidates.size());
   return candidates[index];
 }
 

@@ -49,8 +49,8 @@ class RoundRobinPolicy : public TargetPolicy {
   std::size_t next_ = 0;
 };
 
-// Uniformly random candidate, drawn from the simulation's deterministic
-// RNG.
+// Uniformly random candidate, drawn from the calling node's own
+// deterministic stream (net::Network::node_rng).
 class RandomPolicy : public TargetPolicy {
  public:
   [[nodiscard]] common::NodeId select(

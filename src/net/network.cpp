@@ -18,13 +18,20 @@ std::pair<common::NodeId, common::NodeId> ordered_pair(common::NodeId a,
 }  // namespace
 
 Network::Network(sim::Simulation& sim, CostModel model)
-    : driver_sim_(&sim), model_(model) {
+    : driver_sim_(&sim),
+      model_(model),
+      contexts_{&sim},
+      capacity_(std::numeric_limits<std::size_t>::max()),
+      seed_(sim.seed()) {
   faults_applied_ = sim.stats().counter_handle("net.faults_applied");
 }
 
 Network::Network(sim::ShardedSim& sharded, CostModel model,
                  std::vector<std::size_t> node_to_shard)
-    : sharded_(&sharded), model_(model), shard_map_(std::move(node_to_shard)) {
+    : sharded_(&sharded),
+      model_(model),
+      shard_map_(std::move(node_to_shard)),
+      seed_(sharded.seed()) {
   if (min_link_latency(model_) < sharded.lookahead()) {
     throw common::MageError(
         "cost model's minimum cross-node delay (" +
@@ -47,6 +54,10 @@ Network::Network(sim::ShardedSim& sharded, CostModel model,
             std::to_string(sharded.shard_count()) + " shards");
       }
     }
+  }
+  capacity_ = shard_map_.size();
+  for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
+    contexts_.push_back(&sharded.shard(i));
   }
   // Faults apply at window boundaries (one thread, all workers parked);
   // shard 0's registry is the conventional home for driver-side counters.
@@ -96,23 +107,22 @@ void Network::require_fault_window(const char* what) const {
 
 common::NodeId Network::add_node(std::string label) {
   require_config_window("add_node");
-  if (sharded_ != nullptr && nodes_.size() >= shard_map_.size()) {
+  if (nodes_.size() >= capacity_) {
     throw common::MageError("sharded network is full: the node:shard "
                             "mapping covers " +
-                            std::to_string(shard_map_.size()) +
+                            std::to_string(capacity_) +
                             " nodes, cannot add node '" + label + "'");
   }
   const common::NodeId id{static_cast<std::uint32_t>(nodes_.size() + 1)};
   NodeState state;
   state.label = std::move(label);
+  // A function of the run seed and the node id only — not of the engine or
+  // the shard — so every node-side draw survives any remapping.
+  state.rng = common::Rng(seed_ ^ (0x9E3779B97F4A7C15ull * id.value()));
   nodes_.push_back(std::move(state));
+  // The driver engine's one context takes every node.
+  if (shard_map_.size() < nodes_.size()) shard_map_.push_back(0);
   NodeState& stored = nodes_.back();
-  if (sharded_ != nullptr) {
-    // Per-node loss stream, a function of the run seed and the node id
-    // only — NOT of the shard — so chaos drop patterns survive remapping.
-    stored.loss_rng =
-        common::Rng(sharded_->seed() ^ (0x9E3779B97F4A7C15ull * id.value()));
-  }
   auto& stats = node_sim(id).stats();
   stored.messages_sent = stats.counter_handle("net.messages_sent");
   stored.bytes_sent = stats.counter_handle("net.bytes_sent");
@@ -146,48 +156,35 @@ sim::Simulation& Network::simulation() {
   return *driver_sim_;
 }
 
-sim::Simulation& Network::node_sim(common::NodeId node) {
-  if (driver_sim_ != nullptr) return *driver_sim_;
-  assert(node.value() >= 1 && node.value() <= shard_map_.size());
-  return sharded_->shard(shard_map_[node.value() - 1]);
-}
-
-std::size_t Network::shard_of(common::NodeId node) const {
-  if (sharded_ == nullptr) {
-    throw common::MageError(
-        "Network::shard_of is sharded-mode only: driver mode has no shards");
+void Network::for_each_cross_context_link(
+    const std::function<void(std::uint32_t, std::uint32_t,
+                             common::SimDuration)>& fn) const {
+  const common::SimDuration base = min_link_latency(model_);
+  for (std::uint32_t a = 1; a <= nodes_.size(); ++a) {
+    for (std::uint32_t b = 1; b <= nodes_.size(); ++b) {
+      if (a == b || shard_map_[a - 1] == shard_map_[b - 1]) continue;
+      const auto it =
+          extra_latency_.find({common::NodeId{a}, common::NodeId{b}});
+      fn(a, b, base + (it == extra_latency_.end() ? 0 : it->second));
+    }
   }
-  assert(node.value() >= 1 && node.value() <= shard_map_.size());
-  return shard_map_[node.value() - 1];
 }
 
 void Network::refresh_pair_lookaheads() {
   require_config_window("refresh_pair_lookaheads");
-  if (sharded_ == nullptr) return;
-  const std::size_t shard_total = sharded_->shard_count();
-  const common::SimDuration base = min_link_latency(model_);
+  const std::size_t shard_total = contexts_.size();
   // Tightest delay per directed shard pair: base + the smallest extra
   // latency among that pair's links (unconfigured links have extra 0, and
   // every node pair is a potential link, so any populated pair has a
-  // defined minimum).
+  // defined minimum).  Intra-shard links never constrain windows.
   std::vector<common::SimDuration> tightest(
       shard_total * shard_total, std::numeric_limits<common::SimDuration>::max());
-  for (std::uint32_t a = 1; a <= nodes_.size(); ++a) {
-    for (std::uint32_t b = 1; b <= nodes_.size(); ++b) {
-      if (a == b) continue;
-      const std::size_t pa = shard_map_[a - 1];
-      const std::size_t pb = shard_map_[b - 1];
-      if (pa == pb) continue;  // intra-shard links never constrain windows
-      common::SimDuration delay = base;
-      if (const auto it =
-              extra_latency_.find({common::NodeId{a}, common::NodeId{b}});
-          it != extra_latency_.end()) {
-        delay += it->second;
-      }
-      auto& entry = tightest[pa * shard_total + pb];
-      entry = std::min(entry, delay);
-    }
-  }
+  for_each_cross_context_link(
+      [&](std::uint32_t a, std::uint32_t b, common::SimDuration delay) {
+        auto& entry =
+            tightest[shard_map_[a - 1] * shard_total + shard_map_[b - 1]];
+        entry = std::min(entry, delay);
+      });
   for (std::size_t p = 0; p < shard_total; ++p) {
     for (std::size_t q = 0; q < shard_total; ++q) {
       const common::SimDuration la = tightest[p * shard_total + q];
@@ -201,34 +198,23 @@ void Network::refresh_pair_lookaheads() {
 }
 
 void Network::validate_pair_lookaheads() const {
-  if (sharded_ == nullptr) return;
-  const common::SimDuration base = min_link_latency(model_);
-  for (std::uint32_t a = 1; a <= nodes_.size(); ++a) {
-    for (std::uint32_t b = 1; b <= nodes_.size(); ++b) {
-      if (a == b) continue;
-      const std::size_t pa = shard_map_[a - 1];
-      const std::size_t pb = shard_map_[b - 1];
-      if (pa == pb) continue;
-      common::SimDuration delay = base;
-      if (const auto it =
-              extra_latency_.find({common::NodeId{a}, common::NodeId{b}});
-          it != extra_latency_.end()) {
-        delay += it->second;
-      }
-      const common::SimDuration la = sharded_->pair_lookahead(pa, pb);
-      if (la < 1 || delay < la) {
-        throw common::MageError(
-            "pair lookahead for shard link " + std::to_string(pa) + " -> " +
-            std::to_string(pb) + " is " + std::to_string(la) +
-            "us, but link " + nodes_[a - 1].label + " -> " +
-            nodes_[b - 1].label + " (node " + std::to_string(a) + " -> " +
-            std::to_string(b) + ") can deliver in " + std::to_string(delay) +
-            "us under this cost model: a mid-window send on that link would "
-            "land inside the conservative window (every entry must be >= 1us "
-            "and <= its links' minimum delay)");
-      }
+  for_each_cross_context_link([this](std::uint32_t a, std::uint32_t b,
+                                     common::SimDuration delay) {
+    const std::size_t pa = shard_map_[a - 1];
+    const std::size_t pb = shard_map_[b - 1];
+    const common::SimDuration la = sharded_->pair_lookahead(pa, pb);
+    if (la < 1 || delay < la) {
+      throw common::MageError(
+          "pair lookahead for shard link " + std::to_string(pa) + " -> " +
+          std::to_string(pb) + " is " + std::to_string(la) + "us, but link " +
+          nodes_[a - 1].label + " -> " + nodes_[b - 1].label + " (node " +
+          std::to_string(a) + " -> " + std::to_string(b) +
+          ") can deliver in " + std::to_string(delay) +
+          "us under this cost model: a mid-window send on that link would "
+          "land inside the conservative window (every entry must be >= 1us "
+          "and <= its links' minimum delay)");
     }
-  }
+  });
 }
 
 void Network::set_handler(common::NodeId node, Handler handler) {
@@ -258,46 +244,32 @@ void Network::send(Message msg) {
 
   const common::SimTime sent_at = sender_sim.now();
   const bool loopback = msg.from == msg.to;
-  // Loss draws: the shared driver RNG in driver mode, the sender's own
-  // stream in sharded mode (a per-node function of the seed, so drop
-  // patterns survive node:shard remapping — a shard stream would braid
-  // co-located senders' draws together).
-  common::Rng& loss_rng =
-      sharded_ != nullptr ? from.loss_rng : sender_sim.rng();
 
-  if (!loopback && (from.down || state(msg.to).down)) {
+  // Every drop counts against the sender (with its schedule provenance)
+  // and shows in the trace.
+  const auto drop = [&](bool by_schedule) {
     ++*from.messages_dropped;
-    if (from.down_by_schedule || state(msg.to).down_by_schedule) {
-      ++*from.messages_dropped_by_schedule;
-    }
+    if (by_schedule) ++*from.messages_dropped_by_schedule;
     if (tracing_) {
       trace_.push_back(TraceEntry{sent_at, -1, msg.from, msg.to, msg.label(),
                                   msg.wire_size(), true});
     }
+  };
+
+  if (!loopback && (from.down || state(msg.to).down)) {
+    drop(from.down_by_schedule || state(msg.to).down_by_schedule);
     return;
   }
 
   if (!loopback && partitions_.contains(ordered_pair(msg.from, msg.to))) {
-    ++*from.messages_dropped;
-    if (scheduled_partitions_.contains(ordered_pair(msg.from, msg.to))) {
-      ++*from.messages_dropped_by_schedule;
-    }
-    if (tracing_) {
-      trace_.push_back(TraceEntry{sent_at, -1, msg.from, msg.to, msg.label(),
-                                  msg.wire_size(), true});
-    }
+    drop(scheduled_partitions_.contains(ordered_pair(msg.from, msg.to)));
     return;
   }
 
-  if (!loopback && loss_rate_ > 0.0 && loss_rng.next_bool(loss_rate_)) {
-    ++*from.messages_dropped;
-    if (loss_from_schedule_) ++*from.messages_dropped_by_schedule;
+  if (!loopback && loss_rate_ > 0.0 && from.rng.next_bool(loss_rate_)) {
     MAGE_DEBUG() << "dropped " << msg.label() << " " << msg.from << " -> "
                  << msg.to;
-    if (tracing_) {
-      trace_.push_back(TraceEntry{sent_at, -1, msg.from, msg.to, msg.label(),
-                                  msg.wire_size(), true});
-    }
+    drop(loss_from_schedule_);
     return;
   }
 
@@ -308,19 +280,12 @@ void Network::send(Message msg) {
     const auto link = std::make_pair(msg.from, msg.to);
     const auto it = link_loss_.find(link);
     if (it != link_loss_.end() && it->second > 0.0 &&
-        loss_rng.next_bool(it->second)) {
-      ++*from.messages_dropped;
+        from.rng.next_bool(it->second)) {
       ++*from.messages_dropped_by_link_loss;
       ++from.link_loss_drops_to[msg.to];
-      if (scheduled_link_loss_.contains(link)) {
-        ++*from.messages_dropped_by_schedule;
-      }
       MAGE_DEBUG() << "link-dropped " << msg.label() << " " << msg.from
                    << " -> " << msg.to;
-      if (tracing_) {
-        trace_.push_back(TraceEntry{sent_at, -1, msg.from, msg.to, msg.label(),
-                                    msg.wire_size(), true});
-      }
+      drop(scheduled_link_loss_.contains(link));
       return;
     }
   }
@@ -335,21 +300,11 @@ void Network::send(Message msg) {
     if (auto it = extra_latency_.find(link); it != extra_latency_.end()) {
       delay += it->second;
     }
-    if (driver_sim_ != nullptr) {
-      // One-time connection setup per unordered pair: once either side has
-      // connected, the TCP connection is reused in both directions.
-      if (warm_connections_.insert(ordered_pair(msg.from, msg.to)).second) {
-        delay += model_.connection_setup_us;
-        ++*from.connections_opened;
-      }
-    } else {
-      // Sharded mode: warmth is per DIRECTED link (each direction pays
-      // setup once) so the state stays owned by the sending shard — the
-      // unordered pair would be written from two shards.
-      if (from.warm_to.insert(msg.to).second) {
-        delay += model_.connection_setup_us;
-        ++*from.connections_opened;
-      }
+    // One-time connection setup per directed link; the receiver warms the
+    // reverse link on delivery, so only one side ever pays.
+    if (from.warm_to.insert(msg.to).second) {
+      delay += model_.connection_setup_us;
+      ++*from.connections_opened;
     }
   }
 
@@ -390,6 +345,9 @@ void Network::send(Message msg) {
                                    "' has no message handler installed");
     }
     ++*node.messages_delivered;
+    // The connection this message rode now exists: the reply direction is
+    // warm (receiver-owned state, so no shard writes a foreign node).
+    node.warm_to.insert(msg.from);
     if (fifo_checks_ && msg.wire_seq != 0) {
       // Receiver-owned monotonicity check (this runs on the destination's
       // shard).  Gaps are fine — drops consume no stamp — but any
@@ -417,14 +375,16 @@ void Network::send(Message msg) {
   // which mechanism (direct schedule below vs. mailbox drain) inserted
   // them — the keystone of the mapping-independence contract.
   const std::uint32_t tie = msg.from.value();
-  if (loopback || driver_sim_ != nullptr ||
-      shard_map_[msg.from.value() - 1] == shard_map_[msg.to.value() - 1]) {
-    // Same engine context (driver mode, loopback, or co-located nodes in
-    // sharded mode): schedule straight into the shared queue.  This is the
-    // affinity-mapping payoff — an intra-shard message costs no mailbox,
-    // no barrier wait, and does not constrain the lookahead matrix.  Its
-    // TIMING is identical to the cross-shard path above, so the mapping
-    // never changes when a message arrives, only what carries it.
+  const std::size_t from_ctx = shard_of(msg.from);
+  const std::size_t to_ctx = shard_of(msg.to);
+  if (from_ctx == to_ctx) {
+    // Same context (always, on the driver engine; loopback or co-located
+    // nodes on the sharded one): schedule straight into the shared queue.
+    // This is the affinity-mapping payoff — an intra-shard message costs
+    // no mailbox, no barrier wait, and does not constrain the lookahead
+    // matrix.  Its TIMING is identical to the cross-shard path below, so
+    // the mapping never changes when a message arrives, only what carries
+    // it.
     sender_sim.schedule_at(deliver_at, std::move(deliver), sim::Wake::No, tie);
   } else {
     // Cross-shard: into the shard-pair mailbox; the destination shard
@@ -432,9 +392,8 @@ void Network::send(Message msg) {
     // pair's lookahead entry (validate_pair_lookaheads enforces the matrix
     // never over-promises), so the event always lands outside the current
     // conservative window.
-    sharded_->post(shard_map_[msg.from.value() - 1],
-                   shard_map_[msg.to.value() - 1], deliver_at,
-                   std::move(deliver), sim::Wake::No, tie);
+    sharded_->post(from_ctx, to_ctx, deliver_at, std::move(deliver),
+                   sim::Wake::No, tie);
   }
 }
 
@@ -591,13 +550,12 @@ void Network::apply_fault(const FaultEvent& event) {
 void Network::set_extra_latency(common::NodeId from, common::NodeId to,
                                 common::SimDuration extra) {
   require_config_window("set_extra_latency");
-  if (sharded_ != nullptr && extra < 0) {
-    // Negative "extra" would undercut the conservative lookahead the
-    // construction-time check validated; ShardedSim::post would reject
-    // the send mid-run anyway — fail at configuration time instead.
+  if (extra < 0) {
+    // A negative "extra" would schedule deliveries before their send (and
+    // undercut the sharded engine's conservative lookahead).
     throw common::MageError(
-        "negative extra link latency is not allowed on a sharded network "
-        "(it would undercut the conservative lookahead)");
+        "negative extra link latency is not allowed (a message would be "
+        "delivered before it was sent)");
   }
   extra_latency_[{from, to}] = extra;
 }
@@ -659,7 +617,6 @@ void Network::set_tracing(bool enabled) {
 
 void Network::reset_connections() {
   require_config_window("reset_connections");
-  warm_connections_.clear();
   for (auto& node : nodes_) node.warm_to.clear();
 }
 

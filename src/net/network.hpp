@@ -5,8 +5,9 @@
 //     handler (the MAGE server's dispatch entry point);
 //   * delivery timing from the CostModel: propagation + serialization onto
 //     a shared-medium wire + receive CPU, plus one-time connection setup
-//     per (from, to) pair (models TCP/RMI handshake and explains the
-//     paper's cold-vs-warm split in Table 3);
+//     per directed link, the reverse direction warmed by the first
+//     delivery (models TCP/RMI handshake and connection reuse, and explains
+//     the paper's cold-vs-warm split in Table 3);
 //   * in-order delivery per directed link (TCP semantics);
 //   * fault injection: IID message loss, per-link partitions and node
 //     crashes, used by the at-most-once RMI tests ("protocols must recover
@@ -18,30 +19,33 @@
 //   * a per-node load metric for load-directed mobility policies
 //     (the paper's `cloc.getLoad()`).
 //
-// Execution modes.  A Network runs over either
-//   * one driver sim::Simulation (the classic single-core mode: every node
-//     shares the queue, clock, RNG and stats registry), or
-//   * a sim::ShardedSim (multi-core mode): each node lives on the shard the
-//     node:shard mapping assigns it (identity — node i on shard i — by
-//     default; pass an affinity mapping to cluster chatty nodes, see
-//     net/affinity.hpp).  Delivery between co-located nodes is scheduled
-//     directly into the shared shard queue; cross-shard delivery is posted
-//     through the per-link mailboxes, and every cross-shard delay is >= the
-//     shard pair's lookahead matrix entry (refresh_pair_lookaheads derives
-//     the matrix from the cost model + per-link extra latency, so a WAN hop
-//     widens its shards' conservative windows).  Message TIMING is
-//     identical either way — the mapping changes which mechanism carries a
-//     message, never when it arrives — and deliveries carry their source
-//     node id as the event-queue tie key, so per-node event order is
-//     bit-identical under any mapping and any worker count.
+// Engines.  A Network runs with one semantics over the driver engine (one
+// sim::Simulation shared by every node) or the sharded engine (a
+// sim::ShardedSim, each node on the shard the node:shard mapping assigns
+// it: identity by default, or an affinity mapping that clusters chatty
+// nodes, see net/affinity.hpp).  Internally both are contexts (the
+// simulations nodes run on) plus a node:context mapping; the driver engine
+// is one context holding every node.  Same-context delivery is scheduled
+// straight into the shared queue; cross-context delivery is posted through
+// the shard-pair mailbox, never faster than the pair's lookahead matrix
+// entry (see refresh_pair_lookaheads).  Every node-side random draw comes
+// from the node's own stream (node_rng), connection warmth is per directed
+// link and node-owned, and deliveries carry their source node id as the
+// event-queue tie key, so each node's event order and timestamps are
+// identical on both engines, under any mapping and at any worker count.
+// Only how each engine is driven differs:
+//   * fault-schedule application: exact-time events vs window boundaries;
+//   * set_tracing: driver engine only (workers would interleave the trace);
+//   * simulation(): the driver engine's Simulation; throws when sharded.
 // The threading contract in sharded mode (enforced, not advisory): all
 // configuration — adding nodes, handlers, fault injection, tracing — is
 // driver-only and throws while workers run; per-node state (counters,
-// connection warmth, ordering floors, the loss RNG, the load metric) is
-// only ever touched from the owning node's shard.  See
+// connection warmth, ordering floors, the node's random stream, the load
+// metric) is only ever touched from the owning node's shard.  See
 // docs/ARCHITECTURE.md.
 #pragma once
 
+#include <cassert>
 #include <functional>
 #include <map>
 #include <optional>
@@ -101,6 +105,15 @@ class Network {
   // sending node's shard (true by construction: sends originate from
   // transports, whose events run on their own shard).
   void send(Message msg);
+
+  // The node's own random stream, a function of the run seed and the node
+  // id only: loss decisions for its sends, channel backoff jitter and
+  // core::RandomPolicy draw from it.  (A context's sim().rng(), which
+  // election timeouts use, is per context, not per node.)  Touch only from
+  // the node's own context, or from the driver while stopped.
+  [[nodiscard]] common::Rng& node_rng(common::NodeId node) {
+    return state(node).rng;
+  }
 
   // --- fault injection --------------------------------------------------
   //
@@ -165,7 +178,9 @@ class Network {
   void set_fifo_checks(bool on);
   [[nodiscard]] bool fifo_checks() const { return fifo_checks_; }
 
-  // Extra one-way latency for a directed link (e.g. a WAN hop).
+  // Extra one-way latency for a directed link (e.g. a WAN hop).  Throws on
+  // a negative value: it would schedule deliveries into the past (and
+  // undercut the sharded engine's conservative lookahead).
   void set_extra_latency(common::NodeId from, common::NodeId to,
                          common::SimDuration extra);
 
@@ -205,13 +220,18 @@ class Network {
 
   // The simulation context a node's events run on: the shared driver sim
   // in driver mode, the node's shard in sharded mode.
-  [[nodiscard]] sim::Simulation& node_sim(common::NodeId node);
+  [[nodiscard]] sim::Simulation& node_sim(common::NodeId node) {
+    return *contexts_[shard_of(node)];
+  }
 
   [[nodiscard]] bool is_sharded() const { return sharded_ != nullptr; }
-  [[nodiscard]] sim::ShardedSim* sharded() { return sharded_; }
 
-  // The shard a node's events run on (sharded mode; throws in driver mode).
-  [[nodiscard]] std::size_t shard_of(common::NodeId node) const;
+  // The context (shard) a node's events run on; always 0 on the driver
+  // engine.
+  [[nodiscard]] std::size_t shard_of(common::NodeId node) const {
+    assert(node.value() >= 1 && node.value() <= nodes_.size());
+    return shard_map_[node.value() - 1];
+  }
 
   // Recomputes the ShardedSim pair-lookahead matrix from the cost model,
   // the per-link extra latencies and the node:shard mapping: entry (p, q)
@@ -219,7 +239,8 @@ class Network {
   // can experience (min_link_latency + the smallest extra latency among
   // those directed links).  Call after configuring extra latencies and
   // before running; ends by validating the installed matrix (below).
-  // Driver-only; a no-op in driver mode.
+  // Driver-only; a no-op on one context (the driver engine has no
+  // cross-context links).
   void refresh_pair_lookaheads();
 
   // Checks the installed matrix against this network: every entry must be
@@ -227,7 +248,7 @@ class Network {
   // able to deliver faster than its shard pair's entry claims — a matrix
   // that over-promises would make ShardedSim::post throw mid-window (or,
   // unchecked, corrupt the conservative bound).  Throws naming the
-  // offending link.  Driver-only; a no-op in driver mode.
+  // offending link.  Driver-only; a no-op on one context.
   void validate_pair_lookaheads() const;
 
   // The minimum delay any cross-node message can experience under `model`
@@ -251,9 +272,9 @@ class Network {
     // sends on the (this, to) link ever touch floor[to]), which is what
     // lets sharded workers apply floors without touching foreign state.
     std::map<common::NodeId, common::SimTime> earliest_delivery_to;
-    // Sharded mode: directed warm links (each direction pays connection
-    // setup once).  Driver mode uses the shared unordered-pair set below,
-    // matching real TCP connection reuse in both directions.
+    // Directed warm links: a send on a cold link pays connection setup and
+    // warms it; a delivery warms the reverse link, so a reply rides its
+    // request's connection.  Only the owning node writes it.
     std::set<common::NodeId> warm_to;
     // Crash state: `down` is the effective flag; `down_by_schedule` records
     // whether the current down state was installed by the fault schedule
@@ -270,13 +291,10 @@ class Network {
     // Per-link loss provenance, sender-owned (plain ints, not registry
     // counters: the key space is dynamic).
     std::map<common::NodeId, std::int64_t> link_loss_drops_to;
-    // Sharded mode: loss draws come from this per-NODE stream (seeded from
-    // the ShardedSim seed + the node id at add_node) rather than the shard
-    // RNG, so a node's drop pattern is a function of its own send sequence
-    // — identical under any node:shard mapping, which a shared shard
-    // stream could not be once two senders co-locate.  Driver mode keeps
-    // drawing from the shared driver RNG.
-    common::Rng loss_rng{0};
+    // The node's own random stream (node_rng): a function of the run seed
+    // and the node id, never of the engine or the shard, so co-located
+    // nodes never braid their draws together.
+    common::Rng rng{0};
     // Hot-path counters, resolved from the node's own stats registry at
     // add_node (per-shard registries in sharded mode; all handles alias
     // the same slots in driver mode).
@@ -292,6 +310,13 @@ class Network {
 
   [[nodiscard]] NodeState& state(common::NodeId node);
   [[nodiscard]] const NodeState& state(common::NodeId node) const;
+
+  // Calls fn(a, b, delay) for every directed link between nodes on
+  // different contexts (none on the driver engine), `delay` being the
+  // fastest delivery the link can make.
+  void for_each_cross_context_link(
+      const std::function<void(std::uint32_t, std::uint32_t,
+                               common::SimDuration)>& fn) const;
 
   // Throws while sharded workers run: all global configuration is frozen.
   void require_config_window(const char* what) const;
@@ -314,11 +339,16 @@ class Network {
   sim::Simulation* driver_sim_ = nullptr;
   sim::ShardedSim* sharded_ = nullptr;
   CostModel model_;
-  // Sharded mode: shard_map_[i] is node i+1's shard; its size is the node
-  // capacity.  Identity unless a mapping was passed at construction.
+  // The simulations nodes run on: the driver sim alone, or every shard.
+  std::vector<sim::Simulation*> contexts_;
+  // shard_map_[i] is node i+1's context.  Sharded: identity unless a
+  // mapping was passed at construction.  Driver: grows by one 0 per node.
   std::vector<std::size_t> shard_map_;
+  // Node capacity: the sharded mapping's size; unbounded on the driver.
+  std::size_t capacity_ = 0;
+  // Run seed the per-node streams derive from.
+  std::uint64_t seed_ = 0;
   std::vector<NodeState> nodes_;
-  std::set<std::pair<common::NodeId, common::NodeId>> warm_connections_;
   std::set<std::pair<common::NodeId, common::NodeId>> partitions_;
   std::map<std::pair<common::NodeId, common::NodeId>, common::SimDuration>
       extra_latency_;

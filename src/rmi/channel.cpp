@@ -14,7 +14,7 @@ common::SimDuration CallPolicy::backoff_us(int retry,
   for (int i = 1; i < retry; ++i) backoff *= backoff_multiplier;
   if (backoff_jitter > 0.0) {
     // Uniform in [1-j, 1+j], one RNG draw per backoff: deterministic given
-    // the shard's seed and the (replayable) order of channel events.
+    // the calling node's stream and the (replayable) order of its events.
     backoff *= 1.0 + backoff_jitter * (2.0 * rng.next_double() - 1.0);
   }
   if (backoff < 1.0) return 1;
@@ -58,7 +58,7 @@ RetriableChannel::RetriableChannel(Channel& inner, CallPolicy policy)
     : inner_(inner),
       policy_(policy),
       sim_(sim_of(inner.transport())),
-      rng_(sim_.rng()),
+      rng_(rng_of(inner.transport())),
       retries_(sim_.stats().counter_handle("rmi.retries")),
       deadline_exceeded_(
           sim_.stats().counter_handle("rmi.deadline_exceeded")) {}
@@ -235,7 +235,7 @@ FailoverChannel::FailoverChannel(Transport& transport,
       targets_(std::move(targets)),
       policy_(policy),
       sim_(sim_of(transport)),
-      rng_(sim_.rng()),
+      rng_(rng_of(transport)),
       preferred_(targets_.empty() ? common::kNoNode : targets_.front()),
       failovers_(sim_.stats().counter_handle("rmi.directory_failovers")) {
   if (targets_.empty()) {

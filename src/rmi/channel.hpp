@@ -11,10 +11,11 @@
 //   RetriableChannel(HedgedChannel(DirectChannel(transport, policy)))
 //
 // Determinism: every timer is simulated, backoff jitter is drawn from the
-// calling node's shard RNG, and completions are delivered on the owning
-// node's shard — a channel stack replays bit-identically at any worker
-// count.  Cancellation rides Transport::cancel, so a hedge winner silences
-// the losing branch's retransmission timer outright ("rmi.cancelled_calls").
+// calling node's own stream (net::Network::node_rng), and completions are
+// delivered on the owning node's shard — a channel stack replays
+// bit-identically at any worker count.  Cancellation rides
+// Transport::cancel, so a hedge winner silences the losing branch's
+// retransmission timer outright ("rmi.cancelled_calls").
 //
 // At-most-once caveat — read before enabling retries or hedging: a
 // channel-level retry (or hedge) is a NEW request id, so the transport's
@@ -60,7 +61,8 @@ struct CallPolicy {
   common::SimDuration backoff_base_us = 4'000;
   double backoff_multiplier = 2.0;
   // Fractional jitter j: each backoff is scaled by a factor drawn
-  // uniformly from [1-j, 1+j] using the caller's shard RNG.  0 disables.
+  // uniformly from [1-j, 1+j] using the calling node's own stream
+  // (net::Network::node_rng).  0 disables.
   double backoff_jitter = 0.0;
 
   // Hedging: after this long without a reply, issue a second identical
@@ -107,6 +109,9 @@ class Channel {
  protected:
   [[nodiscard]] sim::Simulation& sim_of(Transport& transport) {
     return transport.network().node_sim(transport.self());
+  }
+  [[nodiscard]] common::Rng& rng_of(Transport& transport) {
+    return transport.network().node_rng(transport.self());
   }
 };
 

@@ -62,6 +62,10 @@ class MageClient {
   [[nodiscard]] sim::Simulation& simulation() {
     return transport_.network().node_sim(transport_.self());
   }
+  // This node's own random stream (net::Network::node_rng).
+  [[nodiscard]] common::Rng& rng() {
+    return transport_.network().node_rng(transport_.self());
+  }
 
   // --- component lifecycle --------------------------------------------------
 

@@ -7,17 +7,10 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace mage::sim {
 namespace {
-
-// SplitMix64: spreads one master seed into decorrelated per-shard seeds.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -104,7 +97,9 @@ ShardedSim::ShardedSim(std::size_t shard_count, std::uint64_t seed,
   }
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Simulation>(splitmix64(seed + i)));
+    // SplitMix64 spreads the master seed into decorrelated shard seeds.
+    shards_.push_back(
+        std::make_unique<Simulation>(common::SplitMix64(seed + i).next()));
   }
 }
 

@@ -7,7 +7,8 @@
 namespace mage::sim {
 
 Simulation::Simulation(std::uint64_t seed)
-    : rng_(seed),
+    : seed_(seed),
+      rng_(seed),
       predicate_checks_(stats_.counter_handle("sim.predicate_checks")),
       wakeups_(stats_.counter_handle("sim.wakeups")),
       wake_contract_violations_(

@@ -109,6 +109,8 @@ class Simulation {
   }
 
   [[nodiscard]] common::Rng& rng() { return rng_; }
+  // The construction seed (net::Network derives per-node streams from it).
+  [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] common::StatsRegistry& stats() { return stats_; }
 
   static constexpr common::SimTime kNoDeadline =
@@ -119,6 +121,7 @@ class Simulation {
   bool step_event();
 
   common::SimTime now_ = 0;
+  std::uint64_t seed_;
   EventQueue queue_;
   common::Rng rng_;
   common::StatsRegistry stats_;

@@ -2,30 +2,75 @@
 // ordering, loss/partition injection, tracing, load.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "net/cost_model.hpp"
 #include "net/network.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulation.hpp"
 
 namespace mage::net {
 namespace {
 
+enum class Engine { Driver, Sharded };
+
 struct NetFixture : ::testing::Test {
   sim::Simulation sim{1};
+  // Set when the network runs on the sharded engine (one shard per node).
+  std::unique_ptr<sim::ShardedSim> sharded;
   CostModel model = CostModel::zero();
 
   std::unique_ptr<Network> make(CostModel m) {
-    auto net = std::make_unique<Network>(sim, m);
+    return make_on(Engine::Driver, m);
+  }
+
+  std::unique_ptr<Network> make_on(Engine engine, CostModel m) {
+    std::unique_ptr<Network> net;
+    if (engine == Engine::Sharded) {
+      sharded = std::make_unique<sim::ShardedSim>(3, 1,
+                                                  Network::min_link_latency(m));
+      net = std::make_unique<Network>(*sharded, m);
+    } else {
+      net = std::make_unique<Network>(sim, m);
+    }
     a = net->add_node("a");
     b = net->add_node("b");
     c = net->add_node("c");
     return net;
   }
 
+  void run_until_idle() {
+    if (sharded) {
+      sharded->run_until_idle(1);
+    } else {
+      sim.run_until_idle();
+    }
+  }
+
+  [[nodiscard]] std::int64_t counter(const std::string& key) {
+    return sharded ? sharded->counter(key) : sim.stats().counter(key);
+  }
+
   common::NodeId a, b, c;
 };
+
+// The same test body on both engines: nodes get one shard each on the
+// sharded one, so every message crosses shards.  Each shard keeps its own
+// clock, so times are read from the node's context (net.node_sim).
+struct NetEngines : NetFixture, ::testing::WithParamInterface<Engine> {
+  std::unique_ptr<Network> make(CostModel m) { return make_on(GetParam(), m); }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, NetEngines, ::testing::Values(Engine::Driver, Engine::Sharded),
+    [](const ::testing::TestParamInfo<Engine>& info) {
+      return info.param == Engine::Driver ? std::string("Driver")
+                                          : std::string("Sharded");
+    });
 
 Message msg(common::NodeId from, common::NodeId to, std::size_t payload = 4) {
   return Message{from,          to, common::intern_verb("test"),
@@ -62,25 +107,30 @@ TEST_F(NetFixture, DeliveryTimeMatchesCostModel) {
   EXPECT_EQ(delivered_at, 100 + 100 + 50);
 }
 
-TEST_F(NetFixture, ConnectionSetupChargedOncePerPair) {
+TEST_P(NetEngines, ConnectionSetupChargedOncePerPair) {
   CostModel m = CostModel::zero();
   m.propagation_us = 10;
   m.connection_setup_us = 1000;
   m.bytes_per_usec = 1e9;
   auto net = make(m);
   std::vector<common::SimTime> deliveries;
-  net->set_handler(b, [&](Message) { deliveries.push_back(sim.now()); });
+  sim::Simulation& b_sim = net->node_sim(b);
+  net->set_handler(b, [&](Message) { deliveries.push_back(b_sim.now()); });
   net->send(msg(a, b));
-  sim.run_until_idle();
-  net->send(msg(a, b));
-  sim.run_until_idle();
+  run_until_idle();
+  ASSERT_EQ(deliveries.size(), 1u);
+  // The second send leaves a's context once the first has landed (a's own
+  // clock has not moved on the sharded engine: a ran no event).
+  net->node_sim(a).schedule_at(deliveries[0],
+                               [&net, this] { net->send(msg(a, b)); });
+  run_until_idle();
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_EQ(deliveries[0], 1010);           // cold: setup + propagation
   EXPECT_EQ(deliveries[1] - deliveries[0], 10);  // warm: propagation only
-  EXPECT_EQ(sim.stats().counter("net.connections_opened"), 1);
+  EXPECT_EQ(counter("net.connections_opened"), 1);
 }
 
-TEST_F(NetFixture, ConnectionIsWarmInBothDirections) {
+TEST_P(NetEngines, ConnectionIsWarmInBothDirections) {
   CostModel m = CostModel::zero();
   m.propagation_us = 10;
   m.connection_setup_us = 1000;
@@ -88,11 +138,26 @@ TEST_F(NetFixture, ConnectionIsWarmInBothDirections) {
   net->set_handler(b, [](Message) {});
   net->set_handler(a, [](Message) {});
   net->send(msg(a, b));
-  sim.run_until_idle();
-  const auto t0 = sim.now();
+  run_until_idle();
+  const auto t0 = net->node_sim(b).now();
   net->send(msg(b, a));  // reverse direction reuses the connection
-  sim.run_until_idle();
-  EXPECT_EQ(sim.now() - t0, 10);
+  run_until_idle();
+  EXPECT_EQ(net->node_sim(a).now() - t0, 10);
+}
+
+TEST_P(NetEngines, NegativeExtraLatencyIsRejected) {
+  // A negative extra latency would deliver a message before it was sent
+  // (the driver engine's clock would run backwards).
+  CostModel m = CostModel::zero();
+  m.propagation_us = 10;
+  auto net = make(m);
+  EXPECT_THROW(net->set_extra_latency(a, b, -1000), common::MageError);
+  common::SimTime delivered_at = -1;
+  sim::Simulation& b_sim = net->node_sim(b);
+  net->set_handler(b, [&](Message) { delivered_at = b_sim.now(); });
+  net->node_sim(a).schedule_at(5000, [&net, this] { net->send(msg(a, b)); });
+  run_until_idle();
+  EXPECT_EQ(delivered_at, 5010);
 }
 
 TEST_F(NetFixture, ResetConnectionsRestoresColdCost) {

@@ -9,6 +9,9 @@
 //   2. the threading contract is enforced, not advisory — configuration
 //      mutations while workers run, driver-blocking calls on shard
 //      threads, and zero-lookahead construction all throw.
+//
+// Plus engine parity: the same seeded mesh gives identical per-node logs and
+// traffic counters on the single-queue driver engine and the sharded one.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -45,30 +48,77 @@ net::CostModel lan_model() {
 // One delivery observed by a node: (caller, seq, shard-local sim time).
 using Observation = std::tuple<std::uint32_t, std::uint64_t, common::SimTime>;
 
-// Runs a small all-to-all echo mesh on the sharded engine and returns each
-// node's full observation log (order + timestamps).
-std::vector<std::vector<Observation>> run_mesh(int nodes, int calls_per_link,
-                                               int threads,
-                                               std::uint64_t seed) {
+struct MeshParams {
+  int nodes = 4;
+  int calls_per_link = 30;
+  int threads = 1;  // sharded engine with this many workers; 0: driver engine
+  std::uint64_t seed = 99;
+  bool clustered = false;  // two nodes per shard instead of one
+  double loss = 0.0;
+  bool link_latencies = false;  // a different extra latency per link
+};
+
+struct MeshRun {
+  // Per node (indexed by NodeId): every echo it served, and every echo it
+  // saw complete as the caller (callee, seq, time) — execution order plus
+  // shard-local timestamps.
+  std::vector<std::vector<Observation>> served;
+  std::vector<std::vector<Observation>> completed;
+  std::map<std::string, std::int64_t> counters;  // summed over contexts
+};
+
+// Runs a small all-to-all echo mesh on the sharded engine (or, with
+// threads == 0, the driver engine) and returns each node's full
+// observation logs plus the network/RMI counters.
+MeshRun run_mesh(const MeshParams& p) {
   const net::CostModel model = lan_model();
-  sim::ShardedSim ssim(static_cast<std::size_t>(nodes), seed,
-                       net::Network::min_link_latency(model));
-  net::Network net(ssim, model);
+  const std::size_t shards = static_cast<std::size_t>(
+      p.clustered ? (p.nodes + 1) / 2 : p.nodes);
+  std::vector<std::size_t> mapping;
+  if (p.clustered) {
+    for (int i = 0; i < p.nodes; ++i) {
+      mapping.push_back(static_cast<std::size_t>(i / 2));
+    }
+  }
+  std::unique_ptr<sim::Simulation> dsim;
+  std::unique_ptr<sim::ShardedSim> ssim;
+  std::unique_ptr<net::Network> net_ptr;
+  if (p.threads == 0) {
+    dsim = std::make_unique<sim::Simulation>(p.seed);
+    net_ptr = std::make_unique<net::Network>(*dsim, model);
+  } else {
+    ssim = std::make_unique<sim::ShardedSim>(
+        shards, p.seed, net::Network::min_link_latency(model));
+    net_ptr = std::make_unique<net::Network>(*ssim, model, mapping);
+  }
+  net::Network& net = *net_ptr;
 
   std::vector<common::NodeId> ids;
   std::vector<std::unique_ptr<rmi::Transport>> transports;
-  for (int i = 0; i < nodes; ++i) {
+  for (int i = 0; i < p.nodes; ++i) {
     ids.push_back(net.add_node("n" + std::to_string(i)));
   }
-  for (int i = 0; i < nodes; ++i) {
+  for (int i = 0; i < p.nodes; ++i) {
     transports.push_back(std::make_unique<rmi::Transport>(net, ids[i]));
   }
+  if (p.link_latencies) {
+    for (int i = 0; i < p.nodes; ++i) {
+      for (int j = 0; j < p.nodes; ++j) {
+        if (i != j) {
+          net.set_extra_latency(ids[i], ids[j], 37 * ((3 * i + j) % 5));
+        }
+      }
+    }
+    net.refresh_pair_lookaheads();
+  }
+  net.set_loss_rate(p.loss);
 
-  std::vector<std::vector<Observation>> observed(
-      static_cast<std::size_t>(nodes) + 1);
+  MeshRun run;
+  run.served.assign(static_cast<std::size_t>(p.nodes) + 1, {});
+  run.completed.assign(static_cast<std::size_t>(p.nodes) + 1, {});
   const common::VerbId echo = common::intern_verb("sharded.echo");
-  for (int i = 0; i < nodes; ++i) {
-    auto* log = &observed[ids[i].value()];
+  for (int i = 0; i < p.nodes; ++i) {
+    auto* log = &run.served[ids[i].value()];
     auto& sim = net.node_sim(ids[i]);
     transports[i]->register_service(
         echo, [log, &sim](common::NodeId caller,
@@ -83,53 +133,67 @@ std::vector<std::vector<Observation>> run_mesh(int nodes, int calls_per_link,
   struct Pipe {
     rmi::Transport* transport;
     common::NodeId dst;
+    sim::Simulation* sim;
+    std::vector<Observation>* log;
     std::int64_t next = 0;
     std::int64_t* completed = nullptr;
   };
-  std::vector<std::int64_t> completed(static_cast<std::size_t>(nodes) + 1, 0);
+  std::vector<std::int64_t> completed(static_cast<std::size_t>(p.nodes) + 1, 0);
   std::vector<Pipe> pipes;
-  for (int i = 0; i < nodes; ++i) {
-    for (int j = 0; j < nodes; ++j) {
+  for (int i = 0; i < p.nodes; ++i) {
+    for (int j = 0; j < p.nodes; ++j) {
       if (i != j) {
-        pipes.push_back(
-            Pipe{transports[i].get(), ids[j], 0, &completed[ids[i].value()]});
+        pipes.push_back(Pipe{transports[i].get(), ids[j], &net.node_sim(ids[i]),
+                             &run.completed[ids[i].value()], 0,
+                             &completed[ids[i].value()]});
       }
     }
   }
-  std::function<void(Pipe&)> next_call = [&](Pipe& p) {
-    if (p.next >= calls_per_link) return;
+  const int calls_per_link = p.calls_per_link;
+  std::function<void(Pipe&)> next_call = [&](Pipe& pipe) {
+    if (pipe.next >= calls_per_link) return;
+    const auto seq = static_cast<std::uint64_t>(pipe.next++);
     serial::Writer w(8);
-    w.write_u64(static_cast<std::uint64_t>(p.next++));
-    p.transport->call(p.dst, echo, w.take(), [&next_call, &p](rmi::CallResult r) {
+    w.write_u64(seq);
+    pipe.transport->call(pipe.dst, echo, w.take(),
+                         [&next_call, &pipe, seq](rmi::CallResult r) {
       // Thrown on a worker thread; ShardedSim::run_until rethrows it on
       // the driver (gtest assertions are not thread-safe off-thread).
       if (!r.ok) throw common::MageError("echo failed: " + r.error);
-      ++*p.completed;
-      next_call(p);
+      pipe.log->emplace_back(pipe.dst.value(), seq, pipe.sim->now());
+      ++*pipe.completed;
+      next_call(pipe);
     });
   };
-  for (auto& p : pipes) {
-    next_call(p);
-    next_call(p);  // window of 2 outstanding per link
+  for (auto& pipe : pipes) {
+    next_call(pipe);
+    next_call(pipe);  // window of 2 outstanding per link
   }
 
   const std::int64_t total =
-      static_cast<std::int64_t>(nodes) * (nodes - 1) * calls_per_link;
-  const bool done = ssim.run_until(
-      [&] {
-        std::int64_t sum = 0;
-        for (auto c : completed) sum += c;
-        return sum == total;
-      },
-      threads);
-  EXPECT_TRUE(done);
-  return observed;
+      static_cast<std::int64_t>(p.nodes) * (p.nodes - 1) * calls_per_link;
+  const auto all_done = [&] {
+    std::int64_t sum = 0;
+    for (auto c : completed) sum += c;
+    return sum == total;
+  };
+  EXPECT_TRUE(dsim ? dsim->run_until(all_done)
+                   : ssim->run_until(all_done, p.threads));
+  for (const char* key : {"net.messages_sent", "net.messages_dropped",
+                          "net.connections_opened", "rmi.retransmissions"}) {
+    run.counters[key] =
+        dsim ? dsim->stats().counter(key) : ssim->counter(key);
+  }
+  return run;
 }
 
 TEST(ShardedSim, SameSeedSameOrderAtAnyThreadCount) {
-  const auto one = run_mesh(4, 30, 1, 99);
-  const auto two = run_mesh(4, 30, 2, 99);
-  const auto four = run_mesh(4, 30, 4, 99);
+  MeshParams params;
+  const auto one = run_mesh(params).served;
+  params.threads = 2;
+  const auto two = run_mesh(params).served;
+  params.threads = 4;
+  const auto four = run_mesh(params).served;
   ASSERT_EQ(one.size(), two.size());
   // Identical per-node event order AND identical shard-local timestamps:
   // the parallel execution replays the sequential one exactly.
@@ -141,10 +205,58 @@ TEST(ShardedSim, SameSeedSameOrderAtAnyThreadCount) {
   }
 }
 
+// --- engine parity -----------------------------------------------------------
+//
+// One network model for both engines: per-node random streams, directed
+// connection warmth (a delivery warms the reply direction) and source-keyed
+// delivery ties make every node's event order and timestamps — and the
+// summed traffic counters — identical on the driver engine and on the
+// sharded engine at any worker count and under any node:shard mapping.
+
+void expect_engine_parity(double loss) {
+  for (const std::uint64_t seed : {3ull, 17ull, 4242ull}) {
+    MeshParams params;
+    params.nodes = 6;
+    params.calls_per_link = 20;
+    params.seed = seed;
+    params.loss = loss;
+    params.link_latencies = true;
+    params.threads = 0;
+    const MeshRun driver = run_mesh(params);
+    if (loss > 0.0) {
+      EXPECT_GT(driver.counters.at("net.messages_dropped"), 0);
+      EXPECT_GT(driver.counters.at("rmi.retransmissions"), 0);
+    } else {
+      EXPECT_EQ(driver.counters.at("net.messages_dropped"), 0);
+    }
+    for (const bool clustered : {false, true}) {
+      for (const int threads : {1, 2, 8}) {
+        params.clustered = clustered;
+        params.threads = threads;
+        const MeshRun sharded = run_mesh(params);
+        const std::string where = "seed " + std::to_string(seed) +
+                                  (clustered ? " clustered" : " identity") +
+                                  " workers " + std::to_string(threads);
+        EXPECT_EQ(driver.served, sharded.served) << where;
+        EXPECT_EQ(driver.completed, sharded.completed) << where;
+        EXPECT_EQ(driver.counters, sharded.counters) << where;
+      }
+    }
+  }
+}
+
+TEST(EngineParity, LossFreeMeshIsIdenticalOnBothEngines) {
+  expect_engine_parity(0.0);
+}
+
+TEST(EngineParity, LossyMeshIsIdenticalOnBothEngines) {
+  expect_engine_parity(0.1);
+}
+
 TEST(ShardedSim, DifferentSeedsDiverge) {
-  // The per-shard RNG streams (and so loss decisions, had any been
-  // configured) derive from the master seed; sanity-check the derivation
-  // by observing shard RNGs directly.
+  // The per-shard RNG streams (and so election timeouts drawn from them)
+  // derive from the master seed; sanity-check the derivation by observing
+  // shard RNGs directly.
   sim::ShardedSim a(2, 1, 100);
   sim::ShardedSim b(2, 2, 100);
   EXPECT_NE(a.shard(0).rng().next_below(1u << 30),

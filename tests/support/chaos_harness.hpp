@@ -26,11 +26,13 @@
 // single-queue driver engine (faults applied at exact times rather than
 // window boundaries): semantic properties (b)-(d) must hold there too,
 // which is how single-threaded and sharded fault behavior are asserted
-// equivalent.  (Digests are engine-local: the driver engine draws loss
-// from one shared RNG stream, the sharded engine from one stream per
-// node, so drop patterns — and thus timestamps — legitimately differ
-// between engines, never between worker counts or node:shard mappings of
-// the sharded engine.)
+// equivalent.  (Digests differ between engines only through fault-schedule
+// timing: the driver engine applies each entry at its exact time, the
+// sharded engine at the next window boundary.  Loss draws, connection
+// warmth and delivery order are one model on both engines — without a
+// schedule the digests match, see EngineParity.* in sharded_sim_test.cpp —
+// and digests never differ between worker counts or node:shard mappings
+// of the sharded engine.)
 #pragma once
 
 #include <cstdint>
