@@ -22,7 +22,12 @@
 //     storm of hundreds of thousands of events; predicate checks are
 //     recorded so docs/PERF.md can track checks-per-event.
 //
-// Two execution modes:
+// Three pieces carry every mode.  One StormMesh, built from a MeshShape
+// (nodes, sites, calls per link): the all-to-all storm is one site, the
+// WAN mesh is `sites` all-to-all clusters whose leaders talk across WAN
+// hops.  One timed region, run_mesh(), shared by every run below.  One
+// run_pair() for the 1-vs-T-worker comparison (digest check, then speedup)
+// and one writer for its JSON block.
 //
 //   bench_storm [N]                the classic single-queue driver ladder
 //                                  (default 4/8/16; one N = CI smoke);
@@ -30,13 +35,15 @@
 //                                  one event-queue shard per node, per-link
 //                                  mailboxes, conservative lookahead) run
 //                                  at 1 worker and again at T workers on
-//                                  the same seed.  Records single- and
-//                                  multi-thread throughput + speedup, and
-//                                  FAILS unless both runs produce an
-//                                  identical per-node delivery order
-//                                  (FNV digest per receiving node) — the
-//                                  determinism contract at any thread
-//                                  count.
+//                                  the same seed ("threaded" block), then
+//                                  the same pair batched ("batch" block:
+//                                  per-link invoke coalescing plus an
+//                                  adaptive reply cache, pipelines four
+//                                  windows deep).  FAILS unless both runs
+//                                  of each pair produce an identical per-
+//                                  node delivery order (FNV digest per
+//                                  receiving node) — the determinism
+//                                  contract at any thread count.
 //   ... --chaos                    additionally re-runs the sharded storm
 //                                  under a fixed net::FaultSchedule (loss
 //                                  bursts, a partition/heal, rolling node
@@ -85,9 +92,9 @@
 //                                  are identical across worker counts AND
 //                                  across mappings.
 //
-// Results are written to BENCH_storm.json.
+// Results are written to BENCH_storm.json; ci/check_storm_scaling.py gates
+// them and tests/golden/storm_record.json pins the seed-determined fields.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -96,6 +103,8 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,6 +128,8 @@ constexpr int kWindow = 8;
 // Small on purpose: (N-1)*kCallsPerLink inbound requests per node must
 // overflow the ring so eviction runs continuously.
 constexpr std::size_t kCacheCapacity = 512;
+// Extra latency on every cross-site pair of the WAN mesh.
+constexpr mage::common::SimDuration kWanHopUs = 20'000;
 
 // Cost model for the sharded runs: a fast LAN whose cross-node floor
 // (propagation + receive CPU = 550 simulated us) is the conservative
@@ -135,6 +146,15 @@ mage::net::CostModel storm_model() {
   return m;
 }
 
+template <typename... Parts>
+[[noreturn]] void fail(const Parts&... parts) {
+  std::cerr << "FAIL: ";
+  (std::cerr << ... << parts) << "\n";
+  std::exit(1);
+}
+
+// One run of any mode.  Every run snapshots the SAME registry counters
+// through the same keys, so a field a mode does not exercise reads 0.
 struct StormRun {
   int nodes = 0;
   int threads = 0;  // 0 = single-queue driver engine
@@ -147,7 +167,7 @@ struct StormRun {
   std::int64_t predicate_checks = 0;  // driver engine only
   std::int64_t windows = 0;           // sharded engine only
   std::int64_t order_violations = 0;
-  std::vector<std::uint64_t> node_digests;  // sharded engine only
+  std::vector<std::uint64_t> node_digests;
   // Chaos mode only:
   std::int64_t faults_applied = 0;
   std::int64_t messages_dropped_by_schedule = 0;
@@ -171,11 +191,6 @@ struct StormRun {
   std::int64_t reply_cache_capacity_highwater = 0;  // summed across nodes
 };
 
-// Every engine mode snapshots the SAME registry counters through the same
-// keys — driver mode reads the shared registry, sharded modes sum across
-// shard registries.  (The driver-mode run block used to fill only a
-// hand-picked subset and record messages_sent: 0 and zeroed batch/cache
-// stats, which read as "the driver engine sent nothing" in the JSON.)
 template <typename Counter>
 void snapshot_counters(StormRun& r, Counter&& counter) {
   r.evictions = counter("rmi.reply_cache_evictions");
@@ -183,6 +198,14 @@ void snapshot_counters(StormRun& r, Counter&& counter) {
   r.duplicates_suppressed = counter("rmi.duplicates_suppressed");
   r.evicted_reexecutions = counter("rmi.evicted_reexecutions");
   r.fifo_violations = counter("net.fifo_violations");
+  r.faults_applied = counter("net.faults_applied");
+  r.messages_dropped_by_schedule = counter("net.messages_dropped_by_schedule");
+  r.elections_held = counter("rts.elections_held");
+  r.leader_changes = counter("rts.leader_changes");
+  r.directory_failovers = counter("rmi.directory_failovers");
+  r.directory_resolves = counter("rts.dir_resolves");
+  r.election_time_us = counter("rts.election_time_us");
+  r.failover_time_us = counter("rmi.directory_failover_time_us");
   r.messages_sent = counter("net.messages_sent");
   r.batches_sent = counter("rmi.batches_sent");
   r.batched_invokes = counter("rmi.batched_invokes");
@@ -203,7 +226,7 @@ std::uint64_t fold_digest(std::uint64_t digest, std::uint64_t caller,
 }
 
 // One windowed pipeline per directed link; the callback chains the next
-// call so each link keeps kWindow requests in flight until drained.
+// call so each link keeps its window of requests in flight until drained.
 struct Link {
   mage::rmi::Transport* transport;
   mage::common::NodeId dst;
@@ -264,6 +287,17 @@ struct NodeWatch {
   std::vector<std::int8_t> exec_counts;
 };
 
+// Which links exist and how many calls each carries.  Nodes are split into
+// `sites` equal clusters: all-to-all links inside each site, plus links
+// between the sites' first nodes (their leaders) across kWanHopUs of extra
+// latency.  The all-to-all storm is one site.
+struct MeshShape {
+  int nodes = 0;
+  int sites = 1;
+  int calls_per_link = kCallsPerLink;  // links inside a site
+  int cross_calls_per_link = 0;        // leader <-> leader links
+};
+
 struct MeshOptions {
   std::size_t cache_capacity = kCacheCapacity;
   // Chaos mode: loss makes first arrivals overtake retransmitted
@@ -288,11 +322,25 @@ struct StormMesh {
   std::vector<NodeWatch> watch;          // indexed by node value
   std::vector<std::int64_t> completed;   // per source node
   std::vector<Link> links;
+  std::int64_t total_calls = 0;
+  std::size_t stride = 0;  // exec_counts slots per caller
 
-  StormMesh(mage::net::Network& net, int n, MeshOptions options = {}) {
+  StormMesh(mage::net::Network& net, const MeshShape& shape,
+            const MeshOptions& options = {}) {
     using namespace mage;
+    const int n = shape.nodes;
+    const int per_site = n / shape.sites;
     for (int i = 0; i < n; ++i) {
-      ids.push_back(net.add_node("n" + std::to_string(i)));
+      std::string label = "n";  // not "n" + ...: gcc 12 -Wrestrict noise
+      label += std::to_string(i);
+      ids.push_back(net.add_node(std::move(label)));
+    }
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) {
+        if (a / per_site != b / per_site) {
+          net.set_extra_latency(ids[a], ids[b], kWanHopUs);
+        }
+      }
     }
     for (int i = 0; i < n; ++i) {
       transports.push_back(std::make_unique<rmi::Transport>(
@@ -311,12 +359,13 @@ struct StormMesh {
         transports.back()->set_adaptive_reply_cache(adaptive);
       }
     }
+    stride = static_cast<std::size_t>(
+        std::max(shape.calls_per_link, shape.cross_calls_per_link));
     watch.resize(static_cast<std::size_t>(n) + 1);
     for (auto& w : watch) {
       w.last_seq.assign(static_cast<std::size_t>(n) + 1, -1);
       if (options.chaos) {
-        w.exec_counts.assign(
-            (static_cast<std::size_t>(n) + 1) * kCallsPerLink, 0);
+        w.exec_counts.assign((static_cast<std::size_t>(n) + 1) * stride, 0);
       }
     }
     completed.assign(static_cast<std::size_t>(n) + 1, 0);
@@ -326,13 +375,13 @@ struct StormMesh {
     for (int i = 0; i < n; ++i) {
       NodeWatch* w = &watch[ids[i].value()];
       transports[i]->register_service(
-          echo, [w, chaos](common::NodeId caller,
-                           const serial::BufferChain& body,
-                           rmi::Replier replier) {
+          echo, [w, chaos, stride = stride](common::NodeId caller,
+                                            const serial::BufferChain& body,
+                                            rmi::Replier replier) {
             serial::ChainReader r(body);
             const auto seq = static_cast<std::int64_t>(r.read_u64());
             if (chaos) {
-              ++w->exec_counts[caller.value() * kCallsPerLink +
+              ++w->exec_counts[caller.value() * stride +
                                static_cast<std::size_t>(seq)];
             } else {
               auto& last = w->last_seq[caller.value()];
@@ -345,28 +394,33 @@ struct StormMesh {
           });
     }
 
-    links.reserve(static_cast<std::size_t>(n) * (n - 1));
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        if (i != j) {
-          links.push_back(Link{transports[i].get(), ids[j], 0, kCallsPerLink,
-                               &completed[ids[i].value()],
-                               options.call_options});
+    auto add_link = [&](int src, int dst, int calls) {
+      links.push_back(Link{transports[src].get(), ids[dst], 0, calls,
+                           &completed[ids[src].value()],
+                           options.call_options});
+      total_calls += calls;
+    };
+    for (int base = 0; base < n; base += per_site) {
+      for (int i = base; i < base + per_site; ++i) {
+        for (int j = base; j < base + per_site; ++j) {
+          if (i != j) add_link(i, j, shape.calls_per_link);
         }
+      }
+    }
+    for (int a = 0; a < n; a += per_site) {
+      for (int b = 0; b < n; b += per_site) {
+        if (a != b) add_link(a, b, shape.cross_calls_per_link);
       }
     }
   }
 
-  // True when every cross-link (caller, seq) executed exactly once.
+  // True when every link's (caller, seq) executed exactly once.
   [[nodiscard]] bool exactly_once() const {
-    const std::size_t n = ids.size();
-    for (std::size_t node = 1; node <= n; ++node) {
-      const auto& counts = watch[node].exec_counts;
-      for (std::size_t caller = 1; caller <= n; ++caller) {
-        if (caller == node) continue;
-        for (std::size_t seq = 0; seq < kCallsPerLink; ++seq) {
-          if (counts[caller * kCallsPerLink + seq] != 1) return false;
-        }
+    for (const Link& link : links) {
+      const auto& counts = watch[link.dst.value()].exec_counts;
+      const std::size_t base = link.transport->self().value() * stride;
+      for (std::int64_t seq = 0; seq < link.total_calls; ++seq) {
+        if (counts[base + static_cast<std::size_t>(seq)] != 1) return false;
       }
     }
     return true;
@@ -379,55 +433,133 @@ struct StormMesh {
   }
 };
 
-void check_invariants(const StormRun& r) {
-  if (r.order_violations != 0) {
-    std::cerr << "FAIL: " << r.order_violations
-              << " per-link ordering violations\n";
+// The one timed region: launch every link `window` calls deep, run the
+// engine until every call completed and `also` (if set) holds, then
+// snapshot the counters and per-node digests.  `run_until(done)` is the
+// engine's blocking run; `counter(key)` reads its stats registry.
+template <typename RunUntil, typename Counter>
+StormRun run_mesh(StormMesh& mesh, int window, RunUntil&& run_until,
+                  Counter&& counter, const std::function<bool()>& also = {}) {
+  StormRun r;
+  r.nodes = static_cast<int>(mesh.ids.size());
+  r.calls = mesh.total_calls;
+  const auto start = Clock::now();
+  for (auto& link : mesh.links) {
+    for (int w = 0; w < window; ++w) launch(link);
+  }
+  const std::int64_t checks_before = counter("sim.predicate_checks");
+  const bool done = run_until(std::function<bool()>([&] {
+    return mesh.total_completed() == r.calls && (!also || also());
+  }));
+  r.wall_sec = std::chrono::duration<double>(Clock::now() - start).count();
+  if (!done) {
+    std::cerr << "storm drained with " << mesh.total_completed() << "/"
+              << r.calls << " calls completed\n";
     std::exit(1);
   }
+  r.calls_per_sec = static_cast<double>(r.calls) / r.wall_sec;
+  r.predicate_checks = counter("sim.predicate_checks") - checks_before;
+  snapshot_counters(r, counter);
+  for (std::size_t i = 1; i < mesh.watch.size(); ++i) {
+    r.order_violations += mesh.watch[i].order_violations;
+    r.node_digests.push_back(mesh.watch[i].digest);
+  }
+  if (r.order_violations != 0) {
+    fail(r.order_violations, " per-link ordering violations");
+  }
+  return r;
+}
+
+// A sharded engine and its network: `mapping` places node i on a shard
+// (empty = one node per shard).
+struct ShardedNet {
+  mage::sim::ShardedSim ssim;
+  mage::net::Network net;
+
+  ShardedNet(const mage::net::CostModel& model, std::size_t shards,
+             std::vector<std::size_t> mapping = {})
+      : ssim(shards, 2026, mage::net::Network::min_link_latency(model)),
+        net(ssim, model, std::move(mapping)) {}
+
+  StormRun run(StormMesh& mesh, int window, int threads,
+               const std::function<bool()>& also = {}) {
+    StormRun r = run_mesh(
+        mesh, window,
+        [&](const std::function<bool()>& done) {
+          return ssim.run_until(done, threads);
+        },
+        [&](const char* key) { return ssim.counter(key); }, also);
+    // Record the parallelism that actually existed: the engine clamps the
+    // worker pool to the shard count, and the scaling gate keys off this.
+    r.threads = std::min(threads, static_cast<int>(ssim.shard_count()));
+    r.windows = ssim.windows();
+    return r;
+  }
+};
+
+// The clean storms' fixed-capacity ring must wrap, or the storm is too
+// small to exercise eviction.
+void require_evictions(const StormRun& r) {
   if (r.evictions == 0) {
-    std::cerr << "FAIL: reply-cache ring never evicted — storm too small "
-                 "for cache capacity\n";
-    std::exit(1);
+    fail("reply-cache ring never evicted — storm too small for cache "
+         "capacity");
   }
 }
 
-void check_chaos_invariants(const StormRun& r) {
-  if (!r.exactly_once) {
-    std::cerr << "FAIL: some chaos request did not execute exactly once\n";
-    std::exit(1);
+StormRun run_storm(int n) {
+  using namespace mage;
+  sim::Simulation sim(2026);
+  net::Network net(sim, net::CostModel::zero());
+  StormMesh mesh(net, MeshShape{n});
+  StormRun r = run_mesh(
+      mesh, kWindow,
+      [&](const std::function<bool()>& done) { return sim.run_until(done); },
+      [&](const char* key) { return sim.stats().counter(key); });
+  require_evictions(r);
+  return r;
+}
+
+// The all-to-all storm on the sharded engine, one node per shard.
+// `batched` is ROADMAP item 1's acceptance run: (a) every node's per-link
+// invokes coalesced into one batch frame per lookahead window (flush
+// quantum == the conservative lookahead, so request batches and their
+// reply batches pipeline one window apart) and (b) the reply cache growing
+// adaptively from the deliberately small 512-entry floor instead of
+// churning 111k evictions.  Everything the clean storm asserts (per-link
+// FIFO, determinism across worker counts) must still hold.
+StormRun run_storm_sharded(int n, int threads, bool batched) {
+  using namespace mage;
+  ShardedNet engine(storm_model(), static_cast<std::size_t>(n));
+  MeshOptions options;
+  if (batched) {
+    options.flush_quantum_us = net::Network::min_link_latency(storm_model());
+    options.adaptive_cache = true;
   }
-  if (r.fifo_violations != 0) {
-    std::cerr << "FAIL: " << r.fifo_violations
-              << " wire-FIFO violations under chaos\n";
-    std::exit(1);
+  StormMesh mesh(engine.net, MeshShape{n}, options);
+  // Batching is what makes deep pipelines affordable: kWindow outstanding
+  // invokes per link cost one envelope each unbatched, but a whole window's
+  // worth rides a single frame here — so the acceptance run drives the
+  // pipeline four windows deep and lets the coalescer amortize them.
+  StormRun r = engine.run(mesh, batched ? 4 * kWindow : kWindow, threads);
+  if (!batched) {
+    require_evictions(r);
+    return r;
   }
-  if (r.evicted_reexecutions != 0) {
-    std::cerr << "FAIL: " << r.evicted_reexecutions
-              << " eviction-caused re-executions despite an adequately "
-                 "sized reply cache\n";
-    std::exit(1);
+  if (r.batches_sent == 0 || r.batched_invokes < 2 * r.batches_sent) {
+    fail("batching never coalesced (batches=", r.batches_sent,
+         ", batched invokes=", r.batched_invokes, ")");
   }
-  if (r.faults_applied < 8 || r.messages_dropped_by_schedule == 0 ||
-      r.retransmissions == 0) {
-    std::cerr << "FAIL: chaos run was not chaotic (faults_applied="
-              << r.faults_applied << ", scheduled drops="
-              << r.messages_dropped_by_schedule << ", retransmissions="
-              << r.retransmissions << ")\n";
-    std::exit(1);
+  if (r.reply_cache_grows == 0) {
+    fail("adaptive reply cache never grew from the ", kCacheCapacity,
+         "-entry floor");
   }
-  // HA control plane: rolling director crashes guarantee the sitting
-  // leader died at least once (>= 2 elections) and that the resolver's
-  // preferred member was dead for at least one probe (>= 1 failover).
-  if (r.elections_held < 2 || r.directory_failovers < 1 ||
-      r.directory_resolves < 1) {
-    std::cerr << "FAIL: chaos control plane did not fail over "
-                 "(elections_held="
-              << r.elections_held << ", directory_failovers="
-              << r.directory_failovers << ", directory_resolves="
-              << r.directory_resolves << ")\n";
-    std::exit(1);
+  // The headline: the workload that churned 111k evictions at a fixed
+  // 512-entry ring now stays under 1% of calls.
+  if (r.evictions * 100 >= r.calls) {
+    fail(r.evictions, " evictions on ", r.calls,
+         " calls (>= 1%) despite adaptive sizing");
   }
+  return r;
 }
 
 // The fixed degraded-mode program: two loss bursts, a partition/heal of
@@ -452,10 +584,8 @@ constexpr mage::common::SimTime kChaosHorizonUs = 55'000;
 
 StormRun run_storm_chaos(int n, int threads) {
   using namespace mage;
-  const net::CostModel model = storm_model();
-  sim::ShardedSim ssim(static_cast<std::size_t>(n), 2026,
-                       net::Network::min_link_latency(model));
-  net::Network net(ssim, model);
+  ShardedNet engine(storm_model(), static_cast<std::size_t>(n));
+  net::Network& net = engine.net;
   MeshOptions options;
   options.chaos = true;
   // Adequately sized: every in-flight retransmission finds its entry, so
@@ -463,7 +593,7 @@ StormRun run_storm_chaos(int n, int threads) {
   options.cache_capacity = rmi::Transport::kReplyCacheCapacity;
   options.call_options = rmi::CallOptions{/*retry_timeout_us=*/30'000,
                                           /*max_attempts=*/64};
-  StormMesh mesh(net, n, options);
+  StormMesh mesh(net, MeshShape{n}, options);
 
   net.set_fifo_checks(true);
   net.set_fault_schedule(chaos_schedule(mesh.ids));
@@ -511,215 +641,36 @@ StormRun run_storm_chaos(int n, int threads) {
     net.node_sim(mesh.ids[0]).schedule_at(t, [] {}, sim::Wake::No);
   }
 
-  StormRun result;
-  result.nodes = n;
-  result.threads = std::min(threads, n);
-  const std::int64_t total =
-      static_cast<std::int64_t>(n) * (n - 1) * kCallsPerLink;
-
-  const auto start = Clock::now();
-  for (auto& link : mesh.links) {
-    for (int w = 0; w < kWindow; ++w) launch(link);
+  StormRun r = engine.run(mesh, kWindow, threads, [&] {
+    return resolver_done && net.pending_fault_events() == 0;
+  });
+  if (resolver_ok == 0) fail("no directory resolve ever succeeded under chaos");
+  r.exactly_once = mesh.exactly_once();
+  if (!r.exactly_once) fail("some chaos request did not execute exactly once");
+  if (r.fifo_violations != 0) {
+    fail(r.fifo_violations, " wire-FIFO violations under chaos");
   }
-  const bool done = ssim.run_until(
-      [&] {
-        return mesh.total_completed() == total && resolver_done &&
-               net.pending_fault_events() == 0;
-      },
-      threads);
-  result.wall_sec = std::chrono::duration<double>(Clock::now() - start).count();
-  if (!done) {
-    std::cerr << "chaos storm drained with " << mesh.total_completed() << "/"
-              << total << " calls completed\n";
-    std::exit(1);
+  if (r.evicted_reexecutions != 0) {
+    fail(r.evicted_reexecutions,
+         " eviction-caused re-executions despite an adequately sized reply "
+         "cache");
   }
-  if (resolver_ok == 0) {
-    std::cerr << "FAIL: no directory resolve ever succeeded under chaos\n";
-    std::exit(1);
+  if (r.faults_applied < 8 || r.messages_dropped_by_schedule == 0 ||
+      r.retransmissions == 0) {
+    fail("chaos run was not chaotic (faults_applied=", r.faults_applied,
+         ", scheduled drops=", r.messages_dropped_by_schedule,
+         ", retransmissions=", r.retransmissions, ")");
   }
-
-  result.calls = total;
-  result.calls_per_sec = static_cast<double>(total) / result.wall_sec;
-  snapshot_counters(result,
-                    [&](const char* key) { return ssim.counter(key); });
-  result.windows = ssim.windows();
-  result.faults_applied = ssim.counter("net.faults_applied");
-  result.messages_dropped_by_schedule =
-      ssim.counter("net.messages_dropped_by_schedule");
-  result.exactly_once = mesh.exactly_once();
-  result.elections_held = ssim.counter("rts.elections_held");
-  result.leader_changes = ssim.counter("rts.leader_changes");
-  result.directory_failovers = ssim.counter("rmi.directory_failovers");
-  result.directory_resolves = ssim.counter("rts.dir_resolves");
-  result.election_time_us = ssim.counter("rts.election_time_us");
-  result.failover_time_us = ssim.counter("rmi.directory_failover_time_us");
-  for (std::size_t i = 1; i < mesh.watch.size(); ++i) {
-    result.node_digests.push_back(mesh.watch[i].digest);
+  // HA control plane: rolling director crashes guarantee the sitting
+  // leader died at least once (>= 2 elections) and that the resolver's
+  // preferred member was dead for at least one probe (>= 1 failover).
+  if (r.elections_held < 2 || r.directory_failovers < 1 ||
+      r.directory_resolves < 1) {
+    fail("chaos control plane did not fail over (elections_held=",
+         r.elections_held, ", directory_failovers=", r.directory_failovers,
+         ", directory_resolves=", r.directory_resolves, ")");
   }
-  check_chaos_invariants(result);
-  return result;
-}
-
-StormRun run_storm(int n) {
-  using namespace mage;
-  sim::Simulation sim(2026);
-  net::Network net(sim, net::CostModel::zero());
-  StormMesh mesh(net, n);
-
-  StormRun result;
-  result.nodes = n;
-  const std::int64_t total =
-      static_cast<std::int64_t>(n) * (n - 1) * kCallsPerLink;
-
-  const auto start = Clock::now();
-  for (auto& link : mesh.links) {
-    for (int w = 0; w < kWindow; ++w) launch(link);
-  }
-  const auto checks_before = sim.stats().counter("sim.predicate_checks");
-  const bool done =
-      sim.run_until([&] { return mesh.total_completed() == total; });
-  result.wall_sec = std::chrono::duration<double>(Clock::now() - start).count();
-  if (!done) {
-    std::cerr << "storm drained with " << mesh.total_completed() << "/"
-              << total << " calls completed\n";
-    std::exit(1);
-  }
-
-  result.calls = total;
-  result.calls_per_sec = static_cast<double>(total) / result.wall_sec;
-  snapshot_counters(result,
-                    [&](const char* key) { return sim.stats().counter(key); });
-  result.predicate_checks =
-      sim.stats().counter("sim.predicate_checks") - checks_before;
-  for (const auto& w : mesh.watch) result.order_violations += w.order_violations;
-  check_invariants(result);
-  return result;
-}
-
-StormRun run_storm_sharded(int n, int threads) {
-  using namespace mage;
-  const net::CostModel model = storm_model();
-  sim::ShardedSim ssim(static_cast<std::size_t>(n), 2026,
-                       net::Network::min_link_latency(model));
-  net::Network net(ssim, model);
-  StormMesh mesh(net, n);
-
-  StormRun result;
-  result.nodes = n;
-  // Record the parallelism that actually existed: the engine clamps the
-  // worker pool to the shard count, and the scaling gate keys off this.
-  result.threads = std::min(threads, n);
-  const std::int64_t total =
-      static_cast<std::int64_t>(n) * (n - 1) * kCallsPerLink;
-
-  const auto start = Clock::now();
-  // Pre-run, single-threaded: prime every link's window.
-  for (auto& link : mesh.links) {
-    for (int w = 0; w < kWindow; ++w) launch(link);
-  }
-  const bool done = ssim.run_until(
-      [&] { return mesh.total_completed() == total; }, threads);
-  result.wall_sec = std::chrono::duration<double>(Clock::now() - start).count();
-  if (!done) {
-    std::cerr << "sharded storm drained with " << mesh.total_completed()
-              << "/" << total << " calls completed\n";
-    std::exit(1);
-  }
-
-  result.calls = total;
-  result.calls_per_sec = static_cast<double>(total) / result.wall_sec;
-  snapshot_counters(result,
-                    [&](const char* key) { return ssim.counter(key); });
-  result.windows = ssim.windows();
-  for (const auto& w : mesh.watch) {
-    result.order_violations += w.order_violations;
-  }
-  for (std::size_t i = 1; i < mesh.watch.size(); ++i) {
-    result.node_digests.push_back(mesh.watch[i].digest);
-  }
-  check_invariants(result);
-  return result;
-}
-
-// ROADMAP item 1's acceptance run: the same sharded storm with (a) every
-// node's per-link invokes coalesced into one batch frame per lookahead
-// window (flush quantum == the conservative lookahead, so request batches
-// and their reply batches pipeline one window apart) and (b) the reply
-// cache growing adaptively from the deliberately small 512-entry floor
-// instead of churning 111k evictions.  Everything the clean storm asserts
-// (per-link FIFO, determinism across worker counts) must still hold.
-StormRun run_storm_batched(int n, int threads) {
-  using namespace mage;
-  const net::CostModel model = storm_model();
-  const common::SimDuration lookahead = net::Network::min_link_latency(model);
-  sim::ShardedSim ssim(static_cast<std::size_t>(n), 2026, lookahead);
-  net::Network net(ssim, model);
-  MeshOptions options;
-  options.flush_quantum_us = lookahead;
-  options.adaptive_cache = true;
-  StormMesh mesh(net, n, options);
-
-  StormRun result;
-  result.nodes = n;
-  result.threads = std::min(threads, n);
-  const std::int64_t total =
-      static_cast<std::int64_t>(n) * (n - 1) * kCallsPerLink;
-
-  // Batching is what makes deep pipelines affordable: kWindow outstanding
-  // invokes per link cost one envelope each unbatched, but a whole window's
-  // worth rides a single frame here — so the acceptance run drives the
-  // pipeline four windows deep and lets the coalescer amortize them.
-  constexpr int kBatchWindow = 4 * kWindow;
-  const auto start = Clock::now();
-  for (auto& link : mesh.links) {
-    for (int w = 0; w < kBatchWindow; ++w) launch(link);
-  }
-  const bool done = ssim.run_until(
-      [&] { return mesh.total_completed() == total; }, threads);
-  result.wall_sec = std::chrono::duration<double>(Clock::now() - start).count();
-  if (!done) {
-    std::cerr << "batched storm drained with " << mesh.total_completed()
-              << "/" << total << " calls completed\n";
-    std::exit(1);
-  }
-
-  result.calls = total;
-  result.calls_per_sec = static_cast<double>(total) / result.wall_sec;
-  snapshot_counters(result,
-                    [&](const char* key) { return ssim.counter(key); });
-  result.windows = ssim.windows();
-  for (const auto& w : mesh.watch) {
-    result.order_violations += w.order_violations;
-  }
-  for (std::size_t i = 1; i < mesh.watch.size(); ++i) {
-    result.node_digests.push_back(mesh.watch[i].digest);
-  }
-
-  if (result.order_violations != 0) {
-    std::cerr << "FAIL: " << result.order_violations
-              << " per-link ordering violations under batching\n";
-    std::exit(1);
-  }
-  if (result.batches_sent == 0 ||
-      result.batched_invokes < 2 * result.batches_sent) {
-    std::cerr << "FAIL: batching never coalesced (batches="
-              << result.batches_sent << ", batched invokes="
-              << result.batched_invokes << ")\n";
-    std::exit(1);
-  }
-  if (result.reply_cache_grows == 0) {
-    std::cerr << "FAIL: adaptive reply cache never grew from the "
-              << kCacheCapacity << "-entry floor\n";
-    std::exit(1);
-  }
-  // The headline: the workload that churned 111k evictions at a fixed
-  // 512-entry ring now stays under 1% of calls.
-  if (result.evictions * 100 >= result.calls) {
-    std::cerr << "FAIL: " << result.evictions << " evictions on "
-              << result.calls << " calls (>= 1%) despite adaptive sizing\n";
-    std::exit(1);
-  }
-  return result;
+  return r;
 }
 
 // --- WAN scaling curves (--wan) ---------------------------------------------
@@ -737,251 +688,121 @@ StormRun run_storm_batched(int n, int threads) {
 // per shard) control run, whose per-node digests must match the clustered
 // runs bit for bit — the mapping-independence contract on real hardware.
 
-constexpr mage::common::SimDuration kWanHopUs = 20'000;
-
-mage::net::CostModel wan_model() { return mage::net::CostModel::wan_site(); }
-
-struct WanParams {
-  int nodes = 64;
-  int sites = 8;
-  int calls_per_link = 200;        // site-local links
-  int cross_calls_per_link = 100;  // leader <-> leader links
-  bool identity_mapping = false;   // one shard per node (control run)
-};
-
-struct WanRun {
-  int workers = 0;
-  bool oversubscribed = false;
-  double wall_sec = 0;
-  double calls_per_sec = 0;
-  std::int64_t calls = 0;
-  std::int64_t windows = 0;
-  std::int64_t messages_sent = 0;
-  std::int64_t order_violations = 0;
-  std::vector<std::uint64_t> node_digests;
-};
-
-// Site-clustered mesh over `net`: all-to-all echo pipelines inside each
-// site, leader-to-leader pipelines across sites, cross-site links carrying
-// kWanHopUs of extra latency.
-struct WanMesh {
-  std::vector<mage::common::NodeId> ids;
-  std::vector<std::unique_ptr<mage::rmi::Transport>> transports;
-  std::vector<NodeWatch> watch;
-  std::vector<std::int64_t> completed;
-  std::vector<Link> links;
-  std::int64_t total_calls = 0;
-
-  WanMesh(mage::net::Network& net, const WanParams& p) {
-    using namespace mage;
-    const int per_site = p.nodes / p.sites;
-    for (int i = 0; i < p.nodes; ++i) {
-      ids.push_back(net.add_node("s" + std::to_string(i / per_site) + "n" +
-                                 std::to_string(i % per_site)));
-    }
-    for (int a = 0; a < p.nodes; ++a) {
-      for (int b = 0; b < p.nodes; ++b) {
-        if (a != b && a / per_site != b / per_site) {
-          net.set_extra_latency(ids[a], ids[b], kWanHopUs);
-        }
-      }
-    }
-    for (int i = 0; i < p.nodes; ++i) {
-      transports.push_back(std::make_unique<rmi::Transport>(net, ids[i]));
-    }
-    watch.resize(static_cast<std::size_t>(p.nodes) + 1);
-    for (auto& w : watch) {
-      w.last_seq.assign(static_cast<std::size_t>(p.nodes) + 1, -1);
-    }
-    completed.assign(static_cast<std::size_t>(p.nodes) + 1, 0);
-
-    const common::VerbId echo = common::intern_verb("storm.echo");
-    for (int i = 0; i < p.nodes; ++i) {
-      NodeWatch* w = &watch[ids[i].value()];
-      transports[i]->register_service(
-          echo, [w](common::NodeId caller, const serial::BufferChain& body,
-                    rmi::Replier replier) {
-            serial::ChainReader r(body);
-            const auto seq = static_cast<std::int64_t>(r.read_u64());
-            auto& last = w->last_seq[caller.value()];
-            if (seq <= last) ++w->order_violations;
-            last = seq;
-            w->digest = fold_digest(w->digest, caller.value(),
-                                    static_cast<std::uint64_t>(seq));
-            replier.ok(body);
-          });
-    }
-
-    auto add_link = [&](int src, int dst, int calls) {
-      links.push_back(Link{transports[src].get(), ids[dst], 0, calls,
-                           &completed[ids[src].value()],
-                           rmi::CallOptions{}});
-      total_calls += calls;
-    };
-    for (int site = 0; site < p.sites; ++site) {
-      const int base = site * per_site;
-      for (int i = 0; i < per_site; ++i) {
-        for (int j = 0; j < per_site; ++j) {
-          if (i != j) add_link(base + i, base + j, p.calls_per_link);
-        }
-      }
-    }
-    for (int sa = 0; sa < p.sites; ++sa) {
-      for (int sb = 0; sb < p.sites; ++sb) {
-        if (sa != sb) {
-          add_link(sa * per_site, sb * per_site, p.cross_calls_per_link);
-        }
-      }
-    }
-  }
-};
-
 // The communication graph the workload above implies, for the affinity
 // clusterer: what the mapping layer would learn from traffic counters in a
 // real deployment, the bench simply knows.
-std::vector<mage::net::AffinityEdge> wan_affinity_edges(const WanParams& p) {
+std::vector<mage::net::AffinityEdge> wan_affinity_edges(const MeshShape& s) {
   std::vector<mage::net::AffinityEdge> edges;
-  const int per_site = p.nodes / p.sites;
-  for (int site = 0; site < p.sites; ++site) {
-    const int base = site * per_site;
-    for (int i = 0; i < per_site; ++i) {
-      for (int j = i + 1; j < per_site; ++j) {
-        edges.push_back({static_cast<std::size_t>(base + i),
-                         static_cast<std::size_t>(base + j),
-                         2.0 * p.calls_per_link});
+  const int per_site = s.nodes / s.sites;
+  for (int base = 0; base < s.nodes; base += per_site) {
+    for (int i = base; i < base + per_site; ++i) {
+      for (int j = i + 1; j < base + per_site; ++j) {
+        edges.push_back({static_cast<std::size_t>(i),
+                         static_cast<std::size_t>(j),
+                         2.0 * s.calls_per_link});
       }
     }
   }
-  for (int sa = 0; sa < p.sites; ++sa) {
-    for (int sb = sa + 1; sb < p.sites; ++sb) {
-      edges.push_back({static_cast<std::size_t>(sa * per_site),
-                       static_cast<std::size_t>(sb * per_site),
-                       2.0 * p.cross_calls_per_link});
+  for (int a = 0; a < s.nodes; a += per_site) {
+    for (int b = a + per_site; b < s.nodes; b += per_site) {
+      edges.push_back({static_cast<std::size_t>(a),
+                       static_cast<std::size_t>(b),
+                       2.0 * s.cross_calls_per_link});
     }
   }
   return edges;
 }
 
-WanRun run_storm_wan(const WanParams& p, int workers) {
+// One point of a curve: one shard per site on the affinity mapping, or
+// one shard per node (`identity`, the control run).
+StormRun run_storm_wan(const MeshShape& shape, int workers, bool identity) {
   using namespace mage;
-  const net::CostModel model = wan_model();
-  const std::size_t shards = p.identity_mapping
-                                 ? static_cast<std::size_t>(p.nodes)
-                                 : static_cast<std::size_t>(p.sites);
-  sim::ShardedSim ssim(shards, 2026, net::Network::min_link_latency(model));
+  const net::CostModel model = net::CostModel::wan_site();
+  const auto shards = static_cast<std::size_t>(identity ? shape.nodes
+                                                        : shape.sites);
   std::vector<std::size_t> mapping;
-  if (!p.identity_mapping) {
-    mapping = net::affinity_mapping(static_cast<std::size_t>(p.nodes), shards,
-                                    wan_affinity_edges(p));
+  if (!identity) {
+    mapping = net::affinity_mapping(static_cast<std::size_t>(shape.nodes),
+                                    shards, wan_affinity_edges(shape));
   }
-  net::Network net(ssim, model, std::move(mapping));
-  WanMesh mesh(net, p);
+  ShardedNet engine(model, shards, std::move(mapping));
+  MeshOptions options;
+  options.cache_capacity = rmi::Transport::kReplyCacheCapacity;
+  StormMesh mesh(engine.net, shape, options);
   // Derive the per-pair lookahead matrix from the topology: cross-site
   // shard pairs get base + kWanHopUs, giving every shard a ~20ms window.
-  net.refresh_pair_lookaheads();
+  engine.net.refresh_pair_lookaheads();
+  return engine.run(mesh, kWindow, workers);
+}
 
-  WanRun result;
-  result.workers = std::min<int>(workers, static_cast<int>(shards));
+// Annotation, not data-laundering: a worker count above the machine's
+// hardware threads CANNOT speed up (the workers time-share one core and
+// pay the barriers), so the gate reads this flag and the hardware_threads
+// field instead of treating an oversubscribed ~1.0x as a regression.
+bool oversubscribed(int workers) {
   const unsigned hw = std::thread::hardware_concurrency();
-  result.oversubscribed = hw != 0 && static_cast<unsigned>(result.workers) > hw;
-
-  const auto start = Clock::now();
-  for (auto& link : mesh.links) {
-    for (int w = 0; w < kWindow; ++w) launch(link);
-  }
-  const std::int64_t total = mesh.total_calls;
-  const bool done = ssim.run_until(
-      [&] {
-        std::int64_t sum = 0;
-        for (std::int64_t c : mesh.completed) sum += c;
-        return sum == total;
-      },
-      workers);
-  result.wall_sec = std::chrono::duration<double>(Clock::now() - start).count();
-  if (!done) {
-    std::cerr << "wan storm drained before completing all calls\n";
-    std::exit(1);
-  }
-  result.calls = total;
-  result.calls_per_sec = static_cast<double>(total) / result.wall_sec;
-  result.windows = ssim.windows();
-  result.messages_sent = ssim.counter("net.messages_sent");
-  for (const auto& w : mesh.watch) {
-    result.order_violations += w.order_violations;
-  }
-  for (std::size_t i = 1; i < mesh.watch.size(); ++i) {
-    result.node_digests.push_back(mesh.watch[i].digest);
-  }
-  if (result.order_violations != 0) {
-    std::cerr << "FAIL: " << result.order_violations
-              << " per-link ordering violations on the WAN mesh\n";
-    std::exit(1);
-  }
-  return result;
+  return hw != 0 && static_cast<unsigned>(workers) > hw;
 }
 
 // One scaling curve: the worker ladder on the affinity mapping, plus (for
 // the headline mesh) the identity-mapped control whose digests prove
 // mapping independence.
 struct WanCurve {
-  WanParams params;
-  std::vector<WanRun> points;
-  WanRun identity;            // only when run_identity
-  bool ran_identity = false;
+  MeshShape shape;
+  std::vector<StormRun> points;
+  std::optional<StormRun> identity;
   double speedup = 0.0;       // best non-oversubscribed point vs 1 worker
   bool deterministic = true;
   bool mapping_independent = true;
 };
 
-WanCurve run_wan_curve(WanParams params, const std::vector<int>& ladder,
+WanCurve run_wan_curve(const MeshShape& shape, const std::vector<int>& ladder,
                        bool run_identity) {
   WanCurve curve;
-  curve.params = params;
+  curve.shape = shape;
   for (const int w : ladder) {
-    curve.points.push_back(run_storm_wan(params, w));
-    const WanRun& r = curve.points.back();
-    std::cout << "wan " << params.nodes << " nodes / " << params.sites
-              << " sites, " << r.workers << " workers"
-              << (r.oversubscribed ? " (oversubscribed)" : "") << ": "
-              << static_cast<std::int64_t>(r.calls_per_sec)
+    curve.points.push_back(run_storm_wan(shape, w, /*identity=*/false));
+    const StormRun& r = curve.points.back();
+    std::cout << "wan " << shape.nodes << " nodes / " << shape.sites
+              << " sites, " << r.threads << " workers"
+              << (oversubscribed(r.threads) ? " (oversubscribed)" : "")
+              << ": " << static_cast<std::int64_t>(r.calls_per_sec)
               << " calls/sec, " << r.windows << " windows\n";
     if (r.node_digests != curve.points.front().node_digests) {
       curve.deterministic = false;
     }
   }
   const double base = curve.points.front().calls_per_sec;
-  for (const WanRun& r : curve.points) {
-    if (!r.oversubscribed) {
+  for (const StormRun& r : curve.points) {
+    if (!oversubscribed(r.threads)) {
       curve.speedup = std::max(curve.speedup, r.calls_per_sec / base);
     }
   }
   if (run_identity) {
-    params.identity_mapping = true;
     curve.identity = run_storm_wan(
-        params, std::min(8, static_cast<int>(
-                                std::max(1u, std::thread::hardware_concurrency()))));
-    curve.ran_identity = true;
+        shape,
+        std::min(8, static_cast<int>(
+                        std::max(1u, std::thread::hardware_concurrency()))),
+        /*identity=*/true);
     curve.mapping_independent =
-        curve.identity.node_digests == curve.points.front().node_digests;
-    std::cout << "wan identity control: " << curve.identity.windows
+        curve.identity->node_digests == curve.points.front().node_digests;
+    std::cout << "wan identity control: " << curve.identity->windows
               << " windows (vs " << curve.points.front().windows
               << " clustered); per-node digests "
               << (curve.mapping_independent ? "identical" : "DIVERGED")
               << "\n";
     if (!curve.mapping_independent) {
-      std::cerr << "FAIL: per-node delivery order depends on the node:shard "
-                   "mapping\n";
-      std::exit(1);
+      fail("per-node delivery order depends on the node:shard mapping");
     }
   }
   if (!curve.deterministic) {
-    std::cerr << "FAIL: wan per-node digests differ across worker counts\n";
-    std::exit(1);
+    fail("wan per-node digests differ across worker counts");
   }
   return curve;
 }
 
-void print_run(const StormRun& r, bool chaos = false) {
+void print_run(const StormRun& r) {
+  const bool chaos = r.faults_applied > 0;
   std::cout << r.nodes << " nodes";
   if (r.threads > 0) std::cout << " x " << r.threads << " threads";
   if (chaos) std::cout << " [chaos]";
@@ -1004,6 +825,31 @@ void print_run(const StormRun& r, bool chaos = false) {
   } else {
     std::cout << r.order_violations << " order violations\n";
   }
+}
+
+// The same storm at 1 and at T workers: FAILS unless both runs delivered
+// in the same per-node order, then records the speedup.
+struct Pair {
+  StormRun single;
+  StormRun multi;
+  bool deterministic = false;
+  double speedup = 0.0;
+};
+
+template <typename Run>
+Pair run_pair(const char* mode, int threads, Run&& run) {
+  Pair p;
+  p.single = run(1);
+  print_run(p.single);
+  p.multi = run(threads);
+  print_run(p.multi);
+  p.deterministic = p.single.node_digests == p.multi.node_digests;
+  if (!p.deterministic) {
+    fail(mode, " per-node delivery order differs between 1 and ", threads,
+         " worker threads — sharded determinism contract broken");
+  }
+  p.speedup = p.multi.calls_per_sec / p.single.calls_per_sec;
+  return p;
 }
 
 void write_json_run(std::ofstream& json, const StormRun& r,
@@ -1051,9 +897,28 @@ void write_json_run(std::ofstream& json, const StormRun& r,
        << indent << "}";
 }
 
-}  // namespace
+// `extra` holds the block's own fields, each a `"key": value,\n` line.
+void write_json_pair(std::ofstream& json, const char* name, const Pair& p,
+                     const std::string& extra = "") {
+  json << ",\n  \"" << name << "\": {\n"
+       << "    \"threads\": " << p.multi.threads << ",\n"
+       << "    \"oversubscribed\": " << oversubscribed(p.multi.threads)
+       << ",\n"
+       << "    \"deterministic\": " << p.deterministic << ",\n"
+       << "    \"speedup\": " << p.speedup << ",\n"
+       << extra << "    \"single\":\n";
+  write_json_run(json, p.single, "      ");
+  json << ",\n    \"multi\":\n";
+  write_json_run(json, p.multi, "      ");
+  json << "\n  }";
+}
 
-namespace {
+template <typename T>
+std::string json_field(const char* key, const T& value) {
+  std::ostringstream os;
+  os << std::boolalpha << "    \"" << key << "\": " << value << ",\n";
+  return os.str();
+}
 
 // Strict positive-integer parse; exits with usage on anything else so a
 // CI typo cannot silently skip the threaded determinism/scaling check.
@@ -1105,77 +970,38 @@ int main(int argc, char** argv) {
   }
 
   std::vector<StormRun> runs;
-  StormRun single_sharded;
-  StormRun multi_sharded;
-  StormRun batch_single;
-  StormRun batch_multi;
-  StormRun chaos_single;
-  StormRun chaos_multi;
-  double speedup = 0.0;
-  double batch_speedup = 0.0;
-  double batch_vs_unbatched = 0.0;
-  double chaos_speedup = 0.0;
-  double degraded_vs_clean = 0.0;
-
+  std::optional<Pair> clean;
+  std::optional<Pair> batch;
+  std::optional<Pair> degraded;
   if (threads > 0) {
     const int n = sizes.back();
     // Driver-engine run first, so the JSON records driver vs sharded-1 vs
     // sharded-T on the same machine state.
     runs.push_back(run_storm(n));
     print_run(runs.back());
-    single_sharded = run_storm_sharded(n, 1);
-    print_run(single_sharded);
-    multi_sharded = run_storm_sharded(n, threads);
-    print_run(multi_sharded);
-    if (single_sharded.node_digests != multi_sharded.node_digests) {
-      std::cerr << "FAIL: per-node delivery order differs between 1 and "
-                << threads
-                << " worker threads — sharded determinism contract broken\n";
-      return 1;
-    }
-    speedup = multi_sharded.calls_per_sec / single_sharded.calls_per_sec;
-    std::cout << "speedup: " << speedup << "x with " << multi_sharded.threads
-              << " threads (" << std::thread::hardware_concurrency()
+    clean = run_pair("sharded", threads,
+                     [n](int t) { return run_storm_sharded(n, t, false); });
+    std::cout << "speedup: " << clean->speedup << "x with "
+              << clean->multi.threads << " threads ("
+              << std::thread::hardware_concurrency()
               << " hardware cores); per-node order digests identical\n";
-    batch_single = run_storm_batched(n, 1);
-    print_run(batch_single);
-    batch_multi = run_storm_batched(n, threads);
-    print_run(batch_multi);
-    if (batch_single.node_digests != batch_multi.node_digests) {
-      std::cerr << "FAIL: batched per-node delivery order differs between 1 "
-                   "and "
-                << threads << " worker threads — batching broke the sharded "
-                              "determinism contract\n";
-      return 1;
-    }
-    batch_speedup = batch_multi.calls_per_sec / batch_single.calls_per_sec;
-    batch_vs_unbatched =
-        batch_multi.calls_per_sec / multi_sharded.calls_per_sec;
-    std::cout << "batch: " << batch_vs_unbatched
+    batch = run_pair("batched", threads,
+                     [n](int t) { return run_storm_sharded(n, t, true); });
+    std::cout << "batch: "
+              << batch->multi.calls_per_sec / clean->multi.calls_per_sec
               << "x of unbatched throughput ("
-              << static_cast<std::int64_t>(batch_multi.calls_per_sec)
+              << static_cast<std::int64_t>(batch->multi.calls_per_sec)
               << " calls/sec, "
-              << (batch_multi.batched_invokes /
-                  std::max<std::int64_t>(batch_multi.batches_sent, 1))
-              << " invokes/batch, " << batch_multi.evictions
+              << (batch->multi.batched_invokes /
+                  std::max<std::int64_t>(batch->multi.batches_sent, 1))
+              << " invokes/batch, " << batch->multi.evictions
               << " evictions); digests identical\n";
     if (chaos) {
-      chaos_single = run_storm_chaos(n, 1);
-      print_run(chaos_single, /*chaos=*/true);
-      chaos_multi = run_storm_chaos(n, threads);
-      print_run(chaos_multi, /*chaos=*/true);
-      if (chaos_single.node_digests != chaos_multi.node_digests) {
-        std::cerr << "FAIL: chaos per-node digests differ between 1 and "
-                  << threads
-                  << " workers — the fault schedule broke determinism\n";
-        return 1;
-      }
-      chaos_speedup =
-          chaos_multi.calls_per_sec / chaos_single.calls_per_sec;
-      degraded_vs_clean =
-          chaos_multi.calls_per_sec / multi_sharded.calls_per_sec;
-      std::cout << "chaos: " << chaos_speedup << "x degraded-mode speedup; "
-                << degraded_vs_clean
+      degraded = run_pair("chaos", threads,
+                          [n](int t) { return run_storm_chaos(n, t); });
+      std::cout << "chaos: " << degraded->speedup
+                << "x degraded-mode speedup; "
+                << degraded->multi.calls_per_sec / clean->multi.calls_per_sec
                 << "x of clean throughput under faults; digests identical; "
                    "every request executed exactly once\n";
     }
@@ -1186,18 +1012,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- WAN scaling curves (see the block comment above WanParams) -----------
+  // --- WAN scaling curves (see the block comment above wan_affinity_edges)
   std::vector<WanCurve> wan_curves;
   if (wan) {
-    WanParams p64;  // 8 sites x 8 nodes, the headline mesh
-    wan_curves.push_back(
-        run_wan_curve(p64, {1, 2, 4, 8}, /*run_identity=*/true));
-    WanParams p128;  // 8 sites x 16 nodes: double the per-shard work
-    p128.nodes = 128;
-    p128.calls_per_link = 50;
-    p128.cross_calls_per_link = 50;
-    wan_curves.push_back(
-        run_wan_curve(p128, {1, 8}, /*run_identity=*/false));
+    // 8 sites x 8 nodes, the headline mesh.
+    wan_curves.push_back(run_wan_curve(MeshShape{64, 8, 200, 100},
+                                       {1, 2, 4, 8}, /*run_identity=*/true));
+    // 8 sites x 16 nodes: double the per-shard work.
+    wan_curves.push_back(run_wan_curve(MeshShape{128, 8, 50, 50}, {1, 8},
+                                       /*run_identity=*/false));
   }
 
   // --- lifeline GLB over DistMap (chaos schedule always on) -----------------
@@ -1261,8 +1084,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Every FAIL above exits before this point, so the flags below can only
+  // record true in a file that exists — but the ACTUAL comparison results
+  // are written anyway, so ci/check_storm_scaling.py gates on real data
+  // rather than a constant if those paths are ever reordered.
   std::ofstream json("BENCH_storm.json");
-  json << "{\n"
+  json << std::boolalpha << "{\n"
        << "  \"bench\": \"storm\",\n"
        << "  \"calls_per_link\": " << kCallsPerLink << ",\n"
        << "  \"window\": " << kWindow << ",\n"
@@ -1275,76 +1102,22 @@ int main(int argc, char** argv) {
     json << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   json << "  ]";
-  // The exit(1) paths above fire before any JSON is written, so these can
-  // only ever record true in a file that exists — but emit the ACTUAL
-  // comparison results anyway, so ci/check_storm_scaling.py gates on real
-  // data rather than a constant if those paths are ever reordered.
-  const char* threaded_deterministic =
-      single_sharded.node_digests == multi_sharded.node_digests ? "true"
-                                                                : "false";
-  // Annotation, not data-laundering: a worker count above the machine's
-  // hardware threads CANNOT speed up (the workers time-share one core and
-  // pay the barriers), so the gate reads this flag and the hardware_threads
-  // field instead of treating an oversubscribed ~1.0x as a regression.
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  const auto oversub = [hw_threads](int workers) {
-    return hw_threads != 0 && static_cast<unsigned>(workers) > hw_threads
-               ? "true"
-               : "false";
-  };
-  if (threads > 0) {
-    json << ",\n  \"threaded\": {\n"
-         << "    \"threads\": " << multi_sharded.threads << ",\n"
-         << "    \"oversubscribed\": " << oversub(multi_sharded.threads)
-         << ",\n"
-         << "    \"deterministic\": " << threaded_deterministic << ",\n"
-         << "    \"speedup\": " << speedup << ",\n"
-         << "    \"single\":\n";
-    write_json_run(json, single_sharded, "      ");
-    json << ",\n    \"multi\":\n";
-    write_json_run(json, multi_sharded, "      ");
-    json << "\n  }";
-    json << ",\n  \"batch\": {\n"
-         << "    \"threads\": " << batch_multi.threads << ",\n"
-         << "    \"oversubscribed\": " << oversub(batch_multi.threads)
-         << ",\n"
-         << "    \"deterministic\": "
-         << (batch_single.node_digests == batch_multi.node_digests
-                 ? "true"
-                 : "false")
-         << ",\n"
-         << "    \"speedup\": " << batch_speedup << ",\n"
-         << "    \"vs_unbatched\": " << batch_vs_unbatched << ",\n"
-         << "    \"flush_quantum_us\": "
-         << mage::net::Network::min_link_latency(storm_model()) << ",\n"
-         << "    \"single\":\n";
-    write_json_run(json, batch_single, "      ");
-    json << ",\n    \"multi\":\n";
-    write_json_run(json, batch_multi, "      ");
-    json << "\n  }";
+  if (clean) {
+    write_json_pair(json, "threaded", *clean);
+    write_json_pair(
+        json, "batch", *batch,
+        json_field("vs_unbatched",
+                   batch->multi.calls_per_sec / clean->multi.calls_per_sec) +
+            json_field("flush_quantum_us",
+                       mage::net::Network::min_link_latency(storm_model())));
   }
-  if (chaos) {
-    json << ",\n  \"chaos\": {\n"
-         << "    \"threads\": " << chaos_multi.threads << ",\n"
-         << "    \"oversubscribed\": " << oversub(chaos_multi.threads)
-         << ",\n"
-         << "    \"deterministic\": "
-         << (chaos_single.node_digests == chaos_multi.node_digests
-                 ? "true"
-                 : "false")
-         << ",\n"
-         << "    \"exactly_once\": "
-         << (chaos_single.exactly_once && chaos_multi.exactly_once
-                 ? "true"
-                 : "false")
-         << ",\n"
-         << "    \"speedup\": " << chaos_speedup << ",\n"
-         << "    \"degraded_vs_clean\": " << degraded_vs_clean << ",\n"
-         << "    \"single\":\n";
-    write_json_run(json, chaos_single, "      ");
-    json << ",\n    \"multi\":\n";
-    write_json_run(json, chaos_multi, "      ");
-    json << "\n  }";
+  if (degraded) {
+    write_json_pair(
+        json, "chaos", *degraded,
+        json_field("exactly_once", degraded->single.exactly_once &&
+                                       degraded->multi.exactly_once) +
+            json_field("degraded_vs_clean", degraded->multi.calls_per_sec /
+                                                clean->multi.calls_per_sec));
   }
   if (glb) {
     mage::glb::GlbParams defaults;
@@ -1352,11 +1125,9 @@ int main(int argc, char** argv) {
          << "    \"nodes\": " << defaults.nodes << ",\n"
          << "    \"partitions\": " << defaults.partitions << ",\n"
          << "    \"threads\": 8,\n"
-         << "    \"deterministic\": " << (glb_deterministic ? "true" : "false")
-         << ",\n"
-         << "    \"exactly_once\": " << (glb_exactly_once ? "true" : "false")
-         << ",\n"
-         << "    \"migrated\": " << (glb_migrated ? "true" : "false") << ",\n"
+         << "    \"deterministic\": " << glb_deterministic << ",\n"
+         << "    \"exactly_once\": " << glb_exactly_once << ",\n"
+         << "    \"migrated\": " << glb_migrated << ",\n"
          << "    \"runs\": [\n";
     for (std::size_t i = 0; i < glb_seeds.size(); ++i) {
       const GlbSeed& s = glb_seeds[i];
@@ -1388,23 +1159,22 @@ int main(int argc, char** argv) {
     for (std::size_t c = 0; c < wan_curves.size(); ++c) {
       const WanCurve& curve = wan_curves[c];
       json << "    {\n"
-           << "      \"nodes\": " << curve.params.nodes << ",\n"
-           << "      \"sites\": " << curve.params.sites << ",\n"
+           << "      \"nodes\": " << curve.shape.nodes << ",\n"
+           << "      \"sites\": " << curve.shape.sites << ",\n"
            << "      \"wan_hop_us\": " << kWanHopUs << ",\n"
            << "      \"mapping\": \"affinity\",\n"
            << "      \"calls\": " << curve.points.front().calls << ",\n"
-           << "      \"deterministic\": "
-           << (curve.deterministic ? "true" : "false") << ",\n"
-           << "      \"mapping_independent\": "
-           << (curve.mapping_independent ? "true" : "false") << ",\n"
+           << "      \"deterministic\": " << curve.deterministic << ",\n"
+           << "      \"mapping_independent\": " << curve.mapping_independent
+           << ",\n"
            << "      \"speedup\": " << curve.speedup << ",\n"
            << "      \"points\": [\n";
       for (std::size_t i = 0; i < curve.points.size(); ++i) {
-        const WanRun& r = curve.points[i];
+        const StormRun& r = curve.points[i];
         json << "        {\n"
-             << "          \"workers\": " << r.workers << ",\n"
-             << "          \"oversubscribed\": "
-             << (r.oversubscribed ? "true" : "false") << ",\n"
+             << "          \"workers\": " << r.threads << ",\n"
+             << "          \"oversubscribed\": " << oversubscribed(r.threads)
+             << ",\n"
              << "          \"wall_sec\": " << r.wall_sec << ",\n"
              << "          \"calls_per_sec\": " << r.calls_per_sec << ",\n"
              << "          \"windows\": " << r.windows << ",\n"
@@ -1413,11 +1183,11 @@ int main(int argc, char** argv) {
              << "\n";
       }
       json << "      ]";
-      if (curve.ran_identity) {
+      if (curve.identity) {
         json << ",\n      \"identity\": {\n"
-             << "        \"workers\": " << curve.identity.workers << ",\n"
-             << "        \"windows\": " << curve.identity.windows << ",\n"
-             << "        \"calls_per_sec\": " << curve.identity.calls_per_sec
+             << "        \"workers\": " << curve.identity->threads << ",\n"
+             << "        \"windows\": " << curve.identity->windows << ",\n"
+             << "        \"calls_per_sec\": " << curve.identity->calls_per_sec
              << "\n      }";
       }
       json << "\n    }" << (c + 1 < wan_curves.size() ? "," : "") << "\n";

@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/cost_model.hpp"
 #include "net/fault_schedule.hpp"
 #include "net/network.hpp"
@@ -65,13 +66,6 @@ struct GlbParams {
   common::SimDuration fault_span_us = 6'000;
 };
 
-inline std::uint64_t splitmix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 // Children of tree node `id` at `depth`: a pure function of (seed, id), so
 // every driver — and every worker count — sees the same tree.  Depth 0-1
 // always branch fully (a guaranteed parallel frontier); beyond that the
@@ -81,7 +75,8 @@ inline int branching(std::uint64_t seed, std::uint64_t id, int depth,
                      int max_depth) {
   if (depth < 2) return 4;
   if (depth >= max_depth) return 0;
-  const std::uint64_t r = splitmix(seed ^ (id * 0x9E3779B97F4A7C15ull)) % 100;
+  const std::uint64_t r =
+      common::SplitMix64(seed ^ (id * 0x9E3779B97F4A7C15ull)).next() % 100;
   if (r < 22) return 4;
   if (r < 30) return 1;
   return 0;
@@ -369,14 +364,17 @@ inline GlbRun run_glb(const GlbParams& params, int threads) {
       std::string line = name + ":";
       for (int i = 0; i < n; ++i) {
         auto& reg = servers[i]->registry();
-        line += " n" + std::to_string(i);
+        // Appended piecewise: `"literal" + std::string` trips gcc 12's
+        // -Wrestrict false positive.
+        line.append(" n").append(std::to_string(i));
         if (reg.has_local(name)) line += "=LOCAL";
         if (servers[i]->in_transit(name)) line += "=TRANSIT";
         if (auto f = reg.forward(name)) {
-          line += "->" + std::to_string(f->value());
+          line.append("->").append(std::to_string(f->value()));
         }
-        line += "@" + std::to_string(reg.epoch_of(name));
-        line += "/k" + std::to_string(clients[i]->known_epoch(name));
+        line.append("@").append(std::to_string(reg.epoch_of(name)));
+        line.append("/k").append(
+            std::to_string(clients[i]->known_epoch(name)));
       }
       run.error_counts[line] = -1;
     }
