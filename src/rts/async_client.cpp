@@ -61,16 +61,9 @@ AsyncClient::AsyncClient(MageServer& server, rmi::CallPolicy policy)
     : server_(server),
       transport_(server.transport()),
       sim_(transport_.network().node_sim(transport_.self())),
-      policy_(policy) {
-  rebuild_stack();
-}
-
-void AsyncClient::rebuild_stack() {
-  // Destroy outer layers before the channels they wrap.
-  retriable_.reset();
-  hedged_.reset();
-  direct_ = std::make_unique<rmi::DirectChannel>(transport_, policy_);
-  top_ = direct_.get();
+      policy_(policy),
+      direct_(std::make_unique<rmi::DirectChannel>(transport_, policy_)),
+      top_(direct_.get()) {
   if (policy_.hedge_after_us > 0) {
     hedged_ = std::make_unique<rmi::HedgedChannel>(*top_, policy_);
     top_ = hedged_.get();
@@ -79,16 +72,6 @@ void AsyncClient::rebuild_stack() {
     retriable_ = std::make_unique<rmi::RetriableChannel>(*top_, policy_);
     top_ = retriable_.get();
   }
-}
-
-void AsyncClient::set_policy(rmi::CallPolicy policy) {
-  if (outstanding_ != 0) {
-    throw common::MageError(
-        "AsyncClient::set_policy with " + std::to_string(outstanding_) +
-        " calls in flight: the channel stack cannot be replaced under them");
-  }
-  policy_ = policy;
-  rebuild_stack();
 }
 
 // --- epoch fences -----------------------------------------------------------
@@ -170,10 +153,8 @@ void AsyncClient::send_op(const std::shared_ptr<ChaseOp>& op,
     return;
   }
   auto on_done = [this, op](rmi::CallResult result) {
-    --outstanding_;
     on_reply(op, std::move(result));
   };
-  ++outstanding_;
   switch (op->kind) {
     case ChaseKind::Invoke:
       channel().call(op->at, proto_verbs::kInvoke, op->request,
@@ -328,11 +309,9 @@ void AsyncClient::walk(const std::shared_ptr<ChaseOp>& op,
   request.name = op->name;
   request.min_epoch = fenced ? known_epoch(op->name) : 0;
   if (!fenced) sim_.stats().add("rts.unfenced_walks");
-  ++outstanding_;
   channel().call(
       start, proto_verbs::kLookup, request.encode(),
       [this, op, start, fenced](rmi::CallResult result) {
-        --outstanding_;
         std::string error = std::move(result.error);
         if (result.ok) {
           const auto reply = proto::LookupReply::decode(result.body);
@@ -464,10 +443,8 @@ template <typename R, typename Decode>
 MageFuture<R> AsyncClient::call_once(common::NodeId node, common::VerbId verb,
                                      serial::BufferChain body, Decode decode) {
   MagePromise<R> promise;
-  ++outstanding_;
   channel().call(node, verb, std::move(body),
-                 [this, promise, decode](rmi::CallResult result) {
-                   --outstanding_;
+                 [promise, decode](rmi::CallResult result) {
                    if (!result.ok) {
                      promise.set_error(std::move(result.error));
                      return;

@@ -86,11 +86,6 @@ class AsyncClient {
   [[nodiscard]] common::NodeId self() const { return transport_.self(); }
   [[nodiscard]] const rmi::CallPolicy& policy() const { return policy_; }
 
-  // Replaces the channel stack.  Setup/driver context only: throws
-  // MageError while any call issued through this client is outstanding
-  // (an in-flight call's channel would be destroyed under it).
-  void set_policy(rmi::CallPolicy policy);
-
   // Opt-in high-availability naming: when set, moves are announced to the
   // replicated director quorum (fire-and-forget — a reader racing an
   // announce is protected by the epoch fence), and locate() falls back to
@@ -212,7 +207,6 @@ class AsyncClient {
   template <typename R>
   struct Chase;
 
-  void rebuild_stack();
   [[nodiscard]] rmi::Channel& channel() { return *top_; }
   [[nodiscard]] bool is_shared(const common::ComponentName& name) const;
 
@@ -267,11 +261,12 @@ class AsyncClient {
   DirectoryClient* directory_client_ = nullptr;
 
   rmi::CallPolicy policy_;
+  // The channel stack, built once by the constructor; declared innermost
+  // first, so the outer layers are destroyed before the channels they wrap.
   std::unique_ptr<rmi::DirectChannel> direct_;
   std::unique_ptr<rmi::HedgedChannel> hedged_;
   std::unique_ptr<rmi::RetriableChannel> retriable_;
   rmi::Channel* top_ = nullptr;
-  std::int64_t outstanding_ = 0;  // set_policy guard
 
   std::map<common::ComponentName, std::uint64_t> known_epochs_;
 };

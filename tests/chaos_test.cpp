@@ -40,7 +40,7 @@ TEST(ChaosSchedule, EverySeedContainsTheMandatoryFaultKinds) {
     const net::FaultSchedule schedule =
         random_fault_schedule(seed, ChaosParams{});
     int loss_changes = 0, partitions = 0, heals = 0, crashes = 0,
-        restarts = 0;
+        restarts = 0, link_losses = 0;
     for (const net::FaultEvent& e : schedule.events()) {
       switch (e.kind) {
         case net::FaultKind::LossRate: ++loss_changes; break;
@@ -48,6 +48,7 @@ TEST(ChaosSchedule, EverySeedContainsTheMandatoryFaultKinds) {
         case net::FaultKind::Heal: ++heals; break;
         case net::FaultKind::Crash: ++crashes; break;
         case net::FaultKind::Restart: ++restarts; break;
+        case net::FaultKind::LinkLoss: ++link_losses; break;
       }
     }
     // A burst is a raise + a restore.
@@ -56,6 +57,7 @@ TEST(ChaosSchedule, EverySeedContainsTheMandatoryFaultKinds) {
     EXPECT_EQ(heals, partitions) << "seed " << seed;
     EXPECT_EQ(crashes, 1) << "seed " << seed;
     EXPECT_EQ(restarts, 1) << "seed " << seed;
+    EXPECT_EQ(link_losses, 0) << "seed " << seed;  // not generated
     // And the generator is itself deterministic.
     const net::FaultSchedule again =
         random_fault_schedule(seed, ChaosParams{});

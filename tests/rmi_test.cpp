@@ -1,6 +1,6 @@
 // Unit tests for the RMI layer: request/reply, marshalled envelopes,
 // at-most-once execution under retransmission, loss recovery, deferred
-// replies, error propagation.
+// replies, error propagation, containment of malformed frames.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -9,6 +9,7 @@
 #include "net/network.hpp"
 #include "rmi/envelope.hpp"
 #include "rmi/transport.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulation.hpp"
 
 namespace mage::rmi {
@@ -374,6 +375,75 @@ TEST(RmiCost, ColdCallPaysConnectionSetup) {
   const double warm_ms = common::to_ms(sim.now() - t1);
   EXPECT_GT(cold_ms, warm_ms + 5.0);  // setup is worth >5ms
 }
+
+// --- hostile input -----------------------------------------------------------
+
+// A frame that does not decode is dropped and counted by the node that
+// receives it (rmi.malformed_frames); it is never thrown into the engine,
+// so the next, unrelated call on the same link completes.  The parameter
+// is the engine: 0 = driver, else the sharded engine at that many workers.
+struct MalformedFrame : ::testing::TestWithParam<int> {
+  // Sends `frame` a->b, then an echo call a->b, and runs until it replies.
+  void probe(serial::Buffer frame) {
+    const int threads = GetParam();
+    const net::CostModel model = net::CostModel::modern_lan();
+    std::optional<sim::Simulation> driver;
+    std::optional<sim::ShardedSim> sharded;
+    std::optional<net::Network> net;
+    if (threads == 0) {
+      net.emplace(driver.emplace(5), model);
+    } else {
+      net.emplace(
+          sharded.emplace(2, 5, net::Network::min_link_latency(model)),
+          model);
+    }
+    const common::NodeId a = net->add_node("a");
+    const common::NodeId b = net->add_node("b");
+    Transport ta(*net, a);
+    Transport tb(*net, b);
+    tb.register_service("echo", [](common::NodeId, const auto& body,
+                                   Replier replier) { replier.ok(body); });
+
+    net::Message garbage;
+    garbage.from = a;
+    garbage.to = b;
+    garbage.header = std::move(frame);
+    net->send(std::move(garbage));
+    std::optional<CallResult> result;
+    ta.call(b, "echo", bytes({9}),
+            [&result](CallResult r) { result = std::move(r); });
+    const auto replied = [&result] { return result.has_value(); };
+    if (threads == 0) {
+      driver->run_until(replied);
+    } else {
+      sharded->run_until(replied, threads);
+    }
+
+    ASSERT_TRUE(result.has_value());
+    EXPECT_TRUE(result->ok) << result->error;
+    EXPECT_EQ(result->body, bytes({9}));
+    EXPECT_EQ(threads == 0 ? driver->stats().counter("rmi.malformed_frames")
+                           : sharded->counter("rmi.malformed_frames"),
+              1);
+  }
+};
+
+TEST_P(MalformedFrame, BadEnvelopeTagIsDroppedAndCounted) {
+  probe(bytes({127, 0, 0}));
+}
+
+TEST_P(MalformedFrame, TruncatedBatchFrameIsDroppedAndCounted) {
+  // A batch frame declaring 2^32-1 sub-envelopes and carrying none.
+  probe(bytes({kBatchTag, 0xFF, 0xFF, 0xFF, 0xFF}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, MalformedFrame, ::testing::Values(0, 1, 2, 8),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return info.param == 0
+                 ? std::string("Driver")
+                 : std::string("Sharded") + std::to_string(info.param);
+    });
 
 }  // namespace
 }  // namespace mage::rmi
