@@ -7,7 +7,7 @@ stderr (so a crash in the checker cannot pass for a verdict).  Soft
 failures (a rate or speedup below its floor) must exit 0 under
 BENCH_GATE_MODE=warn; hard failures must still exit 1 there.
 
-Usage: check_storm_scaling_selftest.py [path/to/check_storm_scaling.py]
+Usage: check_storm_scaling_selftest.py  (checks the checker beside it)
 """
 import copy
 import json
@@ -17,8 +17,7 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-CHECKER = sys.argv[1] if len(sys.argv) > 1 else os.path.join(
-    HERE, "check_storm_scaling.py")
+CHECKER = os.path.join(HERE, "check_storm_scaling.py")
 REQUIRE_ALL = ["--require-chaos", "--require-batch", "--require-glb",
                "--require-speedup"]
 

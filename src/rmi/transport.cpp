@@ -362,33 +362,30 @@ void throw_if_marked(const std::string& error) {
 // A frame that does not decode is contained at the node that received it:
 // dropped whole and counted, never thrown into the engine, where it would
 // stop the run and fail every unrelated call in flight.  Only the framing
-// is guarded; a service's own decode failures are not frame faults.  The
-// counter registers on first use, so a run that never sees a malformed
-// frame keeps its counter set unchanged.
+// is guarded: once the frame has decoded, a SerializationError (a
+// service's own decode failure) propagates as before.  The counter
+// registers on first use, so a run that never sees a malformed frame keeps
+// its counter set unchanged.
 void Transport::on_message(net::Message msg) {
-  if (Envelope::is_batch(msg.header)) {
-    // One mailbox push carried the whole flush; unpack (zero-copy slices)
-    // and dispatch the sub-envelopes in their sent order.
-    std::vector<Envelope> envelopes;
-    try {
-      envelopes = Envelope::decode_batch(msg.header);
-    } catch (const common::SerializationError&) {
-      sim_.stats().add("rmi.malformed_frames");
+  bool decoded = false;
+  try {
+    if (Envelope::is_batch(msg.header)) {
+      // One mailbox push carried the whole flush; unpack (zero-copy
+      // slices) and dispatch the sub-envelopes in their sent order.
+      std::vector<Envelope> envelopes = Envelope::decode_batch(msg.header);
+      decoded = true;
+      for (Envelope& env : envelopes) {
+        dispatch_envelope(msg.from, env);
+      }
       return;
     }
-    for (Envelope& env : envelopes) {
-      dispatch_envelope(msg.from, env);
-    }
-    return;
-  }
-  std::optional<Envelope> env;
-  try {
-    env.emplace(Envelope::decode(msg.header, std::move(msg.body)));
+    Envelope env = Envelope::decode(msg.header, std::move(msg.body));
+    decoded = true;
+    dispatch_envelope(msg.from, env);
   } catch (const common::SerializationError&) {
+    if (decoded) throw;
     sim_.stats().add("rmi.malformed_frames");
-    return;
   }
-  dispatch_envelope(msg.from, *env);
 }
 
 void Transport::dispatch_envelope(common::NodeId from, Envelope& env) {

@@ -9,8 +9,9 @@ failover tallies and the glb tree.  A difference is a behaviour change of
 the storm, the engines or the runtime under them; explain it, do not
 re-record it.
 
-Usage: check_storm_record.py <bench_storm> <golden.json> <out_dir> [--update]
---update rewrites the golden from this run (only for an intended change).
+Usage: check_storm_record.py <bench_storm> <golden.json> <out_dir>
+An intended change of the record is an edit of the golden file, made by
+hand and reviewed like any other golden.
 """
 import json
 import os
@@ -54,7 +55,7 @@ def differences(want, got, path="$"):
 
 
 def main():
-    binary, golden_path, out_dir = sys.argv[1:4]
+    binary, golden_path, out_dir = sys.argv[1:]
     os.makedirs(out_dir, exist_ok=True)
     proc = subprocess.run([os.path.abspath(binary)] + ARGS, cwd=out_dir,
                           capture_output=True, text=True)
@@ -65,12 +66,6 @@ def main():
         return 1
     with open(os.path.join(out_dir, "BENCH_storm.json")) as f:
         got = strip(json.load(f))
-    if "--update" in sys.argv[4:]:
-        with open(golden_path, "w") as f:
-            json.dump(got, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {golden_path}")
-        return 0
     with open(golden_path) as f:
         want = json.load(f)
     diffs = list(differences(want, got))

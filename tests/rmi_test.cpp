@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "net/network.hpp"
@@ -383,6 +385,12 @@ TEST(RmiCost, ColdCallPaysConnectionSetup) {
 // so the next, unrelated call on the same link completes.  The parameter
 // is the engine: 0 = driver, else the sharded engine at that many workers.
 struct MalformedFrame : ::testing::TestWithParam<int> {
+  // One node per shard, so the pool really runs as many workers as the
+  // largest parameter asks for (it is capped at the shard count).  The
+  // probe's two ends are the first and last node: on different workers
+  // at every sharded parameter above 1.
+  static constexpr std::size_t kShards = 8;
+
   // Sends `frame` a->b, then an echo call a->b, and runs until it replies.
   void probe(serial::Buffer frame) {
     const int threads = GetParam();
@@ -393,12 +401,17 @@ struct MalformedFrame : ::testing::TestWithParam<int> {
     if (threads == 0) {
       net.emplace(driver.emplace(5), model);
     } else {
-      net.emplace(
-          sharded.emplace(2, 5, net::Network::min_link_latency(model)),
-          model);
+      net.emplace(sharded.emplace(kShards, 5,
+                                  net::Network::min_link_latency(model)),
+                  model);
+      ASSERT_LE(static_cast<std::size_t>(threads), sharded->shard_count());
     }
-    const common::NodeId a = net->add_node("a");
-    const common::NodeId b = net->add_node("b");
+    std::vector<common::NodeId> nodes;
+    for (std::size_t i = 0; i < kShards; ++i) {
+      nodes.push_back(net->add_node("n" + std::to_string(i)));
+    }
+    const common::NodeId a = nodes.front();
+    const common::NodeId b = nodes.back();
     Transport ta(*net, a);
     Transport tb(*net, b);
     tb.register_service("echo", [](common::NodeId, const auto& body,
